@@ -87,6 +87,8 @@ def test_batched_grid_benchmark():
     iters_slice = sum(r.total_iterations() for r in per_slice)
     iters_grid = sum(r.total_iterations() for r in grid)
     speedup = t_slice / t_grid
+    # The speedup bound asserted at the end of this test, at this scale.
+    floor = "1.0" if SCALE == "tiny" else "0.7"
 
     rows = [
         ["bicg-batched, per slice", f"{t_slice:.3f}", "1.00x",
@@ -101,7 +103,8 @@ def test_batched_grid_benchmark():
             f"Cross-energy batched Step-1 — ladder width={WIDTH} "
             f"(N={blocks.n}), {N_ENERGIES} energies, "
             f"N_int={_config('bicg').n_int}\n"
-            f"(acceptance: > 1.0x over per-slice at <= 1e-10 deviation)"
+            f"(acceptance at {SCALE} scale: > {floor}x over per-slice, "
+            f"<= 1e-10 deviation, identical BiCG iterations)"
         ),
     )
     register_report("Cross-(E, k∥) batched Step-1", table)

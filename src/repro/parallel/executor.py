@@ -18,10 +18,13 @@ time-sliced shards cannot share the lockstep quorum rule soundly).
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple, TypeVar
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, TypeVar,
+)
 
 from repro.errors import ConfigurationError
 
@@ -56,7 +59,63 @@ def chunk_spans(n_items: int, n_chunks: int) -> List[Tuple[int, int]]:
     return spans
 
 
-def _pool_imap(pool_cls, workers: int, fn, items) -> Iterator:
+#: ``set_num_threads`` entry points of the OpenBLAS builds numpy and
+#: scipy ship: plain OpenBLAS and the ``scipy_openblas`` LP64/ILP64
+#: wheels, which prefix and suffix their symbols.
+_OPENBLAS_PREFIXES = ("openblas", "scipy_openblas")
+_OPENBLAS_SUFFIXES = ("", "64_")
+
+
+def _openblas_calls(verb: str) -> List[Tuple[str, Callable]]:
+    """``(library path, <prefix>_{verb}_num_threads<suffix>)`` for every
+    OpenBLAS mapped into this process (none off Linux, where
+    ``/proc/self/maps`` does not exist)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({
+                line.split(None, 5)[-1].strip() for line in fh
+                if "openblas" in line.lower()
+            })
+    except OSError:
+        return []
+    calls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in _OPENBLAS_PREFIXES:
+            for suffix in _OPENBLAS_SUFFIXES:
+                fn = getattr(lib, f"{prefix}_{verb}_num_threads{suffix}", None)
+                if fn is not None:
+                    calls.append((path, fn))
+    return calls
+
+
+def blas_thread_counts() -> Dict[str, int]:
+    """Thread count of every loaded OpenBLAS, keyed by library path."""
+    counts = {}
+    for path, fn in _openblas_calls("get"):
+        fn.argtypes = []
+        fn.restype = ctypes.c_int
+        counts[path] = int(fn())
+    return counts
+
+
+def limit_blas_threads() -> None:
+    """Set every loaded OpenBLAS to one thread; a no-op without one.
+
+    Worker processes call this on start: two workers each running the
+    default one-thread-per-core BLAS oversubscribe the cores they share
+    and run slower than one process.
+    """
+    for _path, fn in _openblas_calls("set"):
+        fn.argtypes = [ctypes.c_int]
+        fn.restype = None
+        fn(1)
+
+
+def _pool_imap(pool_cls, workers: int, fn, items, **pool_kwargs) -> Iterator:
     """Submit everything, yield results in input order as they finish.
 
     The streaming primitive behind ``imap``: later items keep computing
@@ -64,7 +123,7 @@ def _pool_imap(pool_cls, workers: int, fn, items) -> Iterator:
     consumer (e.g. an energy-ordered slice stream) overlaps compute and
     delivery.  Closing the generator early cancels unstarted work.
     """
-    pool = pool_cls(max_workers=workers)
+    pool = pool_cls(max_workers=workers, **pool_kwargs)
     futures = [pool.submit(fn, item) for item in items]
     try:
         for fut in futures:
@@ -154,7 +213,9 @@ class ProcessExecutor:
             return [fn(item) for item in items]
         self._check_picklable(fn)
         self._check_first_item_picklable(items)
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=self.workers, initializer=limit_blas_threads
+        ) as pool:
             return list(pool.map(fn, items))
 
     def imap(self, fn: Callable[[T], R], items: Iterable[T]) -> Iterator[R]:
@@ -166,7 +227,8 @@ class ProcessExecutor:
             return
         self._check_picklable(fn)
         self._check_first_item_picklable(items)
-        yield from _pool_imap(ProcessPoolExecutor, self.workers, fn, items)
+        yield from _pool_imap(ProcessPoolExecutor, self.workers, fn, items,
+                              initializer=limit_blas_threads)
 
     @staticmethod
     def _check_picklable(fn: Callable) -> None:

@@ -9,10 +9,11 @@ Hamiltonian ``BlockTriple`` (the only heavy part of a spec).  The
 * workers are spawned once and reused across ``map``/``imap`` calls —
   and across `compute()` calls, via the process-wide :meth:`shared`
   registry that ``make_executor("pool")`` hands out;
-* every :class:`~repro.qep.blocks.BlockTriple` found in a task payload
-  is published to a ``multiprocessing.shared_memory`` segment once; the
-  shipped spec carries only a small :class:`SharedBlocksRef` and the
-  workers reconstruct zero-copy CSR views onto the segment.
+* every distinct :class:`~repro.qep.blocks.BlockTriple` (by content,
+  so a job that rebuilds equal blocks reuses them) found in a task
+  payload is published to a ``multiprocessing.shared_memory`` segment
+  once; the shipped spec carries only a small :class:`SharedBlocksRef`
+  and the workers reconstruct zero-copy CSR views onto the segment.
 
 The pool speaks the ordinary executor protocol (``map``/``imap`` plus a
 ``workers`` attribute), so :class:`~repro.cbs.orchestrator.ScanOrchestrator`,
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import atexit
 import dataclasses
+import hashlib
 import os
 import queue
 import threading
@@ -45,7 +47,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from repro.errors import ConfigurationError
-from repro.parallel.executor import ProcessExecutor
+from repro.parallel.executor import ProcessExecutor, limit_blas_threads
 from repro.qep.blocks import BlockTriple
 
 __all__ = ["PersistentPool", "SharedBlocksRef", "WorkerCrashedError"]
@@ -145,6 +147,18 @@ def _publish_blocks(blocks: BlockTriple) -> Tuple[SharedBlocksRef,
     return ref, shm
 
 
+def _blocks_digest(blocks: BlockTriple) -> str:
+    """Content key of a BlockTriple: cell length plus the dtype, pattern
+    and values of every operator block."""
+    from repro.io.slice_cache import _hash_matrix
+
+    h = hashlib.sha256(repr(float(blocks.cell_length)).encode())
+    for m in (blocks.hm, blocks.h0, blocks.hp):
+        h.update(str(m.dtype).encode())
+        _hash_matrix(h, m)
+    return h.hexdigest()
+
+
 def _restore_blocks(ref: SharedBlocksRef,
                     shm: shared_memory.SharedMemory) -> BlockTriple:
     """Worker-side inverse of :func:`_publish_blocks` (zero-copy)."""
@@ -212,8 +226,10 @@ def _worker_main(task_q, result_q) -> None:
 
     A task failure is shipped back as a result, never kills the worker;
     attached segments are closed only after the views onto them are
-    dropped (closing an mmap with live buffer exports raises).
+    dropped (closing an mmap with live buffer exports raises).  BLAS
+    runs single-threaded: the pool's workers already share the cores.
     """
+    limit_blas_threads()
     attached: Dict[str, shared_memory.SharedMemory] = {}
     blocks_cache: Dict[str, BlockTriple] = {}
     try:
@@ -295,7 +311,7 @@ class PersistentPool:
             self._ctx = multiprocessing.get_context("spawn")
         self._workers: List[_Worker] = []
         self._result_q = None
-        self._published: Dict[int, Tuple[SharedBlocksRef, BlockTriple]] = {}
+        self._published: Dict[str, SharedBlocksRef] = {}
         self._segments: List[shared_memory.SharedMemory] = []
         self._next_tid = 0
         self._discard: set = set()
@@ -469,13 +485,15 @@ class PersistentPool:
     # -- publication -------------------------------------------------------
 
     def _publish(self, blocks: BlockTriple) -> SharedBlocksRef:
-        hit = self._published.get(id(blocks))
-        if hit is not None and hit[1] is blocks:
-            return hit[0]
-        ref, shm = _publish_blocks(blocks)
-        self._segments.append(shm)
-        # Hold a strong reference so id() stays unambiguous.
-        self._published[id(blocks)] = (ref, blocks)
+        # Keyed on content, not identity: every job rebuilds its blocks,
+        # and equal triples must share one segment (and one rebuilt
+        # triple per worker) for the life of the pool.
+        key = _blocks_digest(blocks)
+        ref = self._published.get(key)
+        if ref is None:
+            ref, shm = _publish_blocks(blocks)
+            self._segments.append(shm)
+            self._published[key] = ref
         return ref
 
     # -- executor protocol -------------------------------------------------

@@ -267,6 +267,25 @@ class QuadraticPencil:
         eye = np.eye(self.n, dtype=COMPLEX_DTYPE)
         return self.energy * eye - b.h0 - z * b.hp - (1.0 / z) * b.hm
 
+    def assemble_dense_stack(self, zs: np.ndarray) -> np.ndarray:
+        """Dense ``P(z_j)`` for a whole vector of shifts, shape ``(S, N, N)``.
+
+        The blocks are densified once and the shifts enter by
+        broadcasting, so the cost is a few ``S·N²`` array sweeps — used
+        by the small-``N`` dense layout of the direct strategy.
+        """
+        zs = np.asarray(zs, dtype=COMPLEX_DTYPE)
+        if bool(np.any(zs == 0)):
+            raise ConfigurationError("P(z) is undefined at z = 0")
+
+        def dense(m):
+            return m.toarray() if sp.issparse(m) else np.asarray(m)
+
+        b = self.blocks
+        base = self.energy * np.eye(self.n, dtype=COMPLEX_DTYPE) - dense(b.h0)
+        z = zs[:, None, None]
+        return base - z * dense(b.hp) - (1.0 / z) * dense(b.hm)
+
     def diagonal(self, z: complex) -> np.ndarray:
         """``diag(P(z))`` (for Jacobi preconditioning), computed blockwise."""
         b = self.blocks

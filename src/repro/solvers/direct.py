@@ -1,4 +1,4 @@
-"""Sparse direct solver for the shifted systems.
+"""Direct solvers for the shifted systems.
 
 For validation-scale problems a sparse LU of ``P(z_j)`` beats BiCG by a
 wide margin, and one factorization serves **both** the primal systems
@@ -7,6 +7,12 @@ with ``A``, ``A^T`` or ``A^H`` from the same factors) — the direct-solver
 counterpart of the paper's remark that "(sparse) direct solvers and the
 BiCG method efficiently solve the linear systems (9) and its dual
 systems (11)".
+
+For small ``N`` the per-point sparse machinery (CSR assembly, SuperLU
+set-up) costs far more than the factorization itself, so
+:func:`solve_dense_stack` instead solves every quadrature point of an
+energy at once on a dense ``(n_pts, N, N)`` stack with one batched
+LAPACK call.  :data:`DENSE_STACK_MAX_N` is the measured crossover.
 """
 
 from __future__ import annotations
@@ -17,6 +23,48 @@ import scipy.sparse.linalg as spla
 
 from repro.errors import SingularPencilError
 from repro.utils.memory import MemoryReport
+
+#: Largest ``N`` at which the ``"direct"`` Step-1 strategy factors all
+#: quadrature points as one dense stack instead of one SuperLU per
+#: point.  From ``benchmarks/sweep_direct_layout.py`` (N_int=32,
+#: N_rh=16, 2-core x86-64, OpenBLAS 0.3.31, 1 and 2 BLAS threads): the
+#: dense stack is 9-12x faster at N=8, 2.4-4.2x at N=64, 1.3-1.5x at
+#: N=96 and 0.6-0.8x at N=128 on ladders and slabs (sparser random
+#: triples favour it longer).  64 keeps a wide margin below the
+#: break-even near N=110 (docs/architecture.rst).
+DENSE_STACK_MAX_N = 64
+
+
+def solve_dense_stack(p_stack: np.ndarray, b: np.ndarray,
+                      adjoint: bool = False) -> np.ndarray:
+    """Solve ``P_j Y_j = B`` (or ``P_j^† Y_j = B``) for a dense stack.
+
+    Parameters
+    ----------
+    p_stack:
+        The assembled systems, shape ``(n_pts, N, N)``.
+    b:
+        Right-hand side ``(N, m)`` shared by every system.
+    adjoint:
+        Solve with the conjugate transposes instead.
+
+    One batched LU (LAPACK ``gesv`` over the stack) per call.
+
+    Raises
+    ------
+    SingularPencilError
+        If any system of the stack is exactly singular — the same
+        contract as :class:`SparseLUSolver`, which the energy scan's
+        nudged-energy retry relies on.
+    """
+    a = p_stack.conj().transpose(0, 2, 1) if adjoint else p_stack
+    rhs = np.broadcast_to(b, (a.shape[0],) + b.shape)
+    try:
+        return np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularPencilError(
+            f"dense batched LU factorization failed: {exc}"
+        ) from exc
 
 
 def rcm_ordering(matrix) -> np.ndarray:

@@ -14,8 +14,9 @@ and the §3.3 execution structure:
 Step 1 dispatches through the solver-strategy registry
 (:mod:`repro.solvers.registry`):
 
-* ``"direct"`` — sparse LU per shift (one factorization serves the
-  primal and dual systems);
+* ``"direct"`` — LU factorization: for small ``N`` one dense batched
+  LU over every shift of the energy, otherwise one sparse LU per shift
+  (either way one factorization serves the primal and dual systems);
 * ``"bicg"`` — the paper's matrix-free path, emulated as one Python
   :class:`BiCGStepper` per (shift, RHS) task advanced in serial
   **lockstep rounds** (or on a thread pool);
@@ -53,7 +54,11 @@ from repro.solvers.batched import (
     run_grid_bicg,
 )
 from repro.solvers.bicg import BiCGResult, BiCGStepper
-from repro.solvers.direct import rcm_ordering
+from repro.solvers.direct import (
+    DENSE_STACK_MAX_N,
+    rcm_ordering,
+    solve_dense_stack,
+)
 from repro.solvers.preconditioners import jacobi_preconditioner
 from repro.solvers.refine import run_refined_bicg
 from repro.solvers.registry import (
@@ -98,7 +103,9 @@ class SSConfig:
         all ``2 N_int`` systems are solved explicitly.
     linear_solver:
         A Step-1 strategy name from the solver registry — ``"direct"``
-        (sparse LU), ``"bicg"`` (the paper's iterative path, one task
+        (LU: dense and batched over all shifts for small ``N``, sparse
+        per shift above :data:`repro.solvers.direct.DENSE_STACK_MAX_N`),
+        ``"bicg"`` (the paper's iterative path, one task
         per shift×RHS), ``"bicg-batched"`` (vectorized block engine),
         ``"bicg-batched-grid"`` (the cross-energy engine: scans stack
         *all* energies of a shard into one batched Step-1 via
@@ -126,8 +133,10 @@ class SSConfig:
         modes whose filter convergence is slow).
     executor:
         ``None``/``"serial"``, ``"threads"``, or an int worker count —
-        parallelism over (quadrature point × RHS) tasks (``bicg``) or
-        over shift-stack shards (``bicg-batched``).
+        parallelism over (quadrature point × RHS) tasks (``bicg``),
+        over shift-stack shards (``bicg-batched``) or over per-shift
+        factorizations (``direct`` above the dense-layout size; the
+        dense layout is one batched call).
     seed:
         RNG seed for the random source block ``V``.
     record_history:
@@ -137,9 +146,10 @@ class SSConfig:
         ``solve`` (``solver.last_step1``) so an energy scan can warm-start
         the next slice.  Costs ``O(N_int × N × N_rh)`` memory.
     lu_ordering_cache:
-        On the direct path, compute a fill-reducing ordering from the
-        (shift- and energy-independent) pencil sparsity pattern once and
-        reuse it for every factorization of a scan.
+        On the direct path's sparse layout, compute a fill-reducing
+        ordering from the (shift- and energy-independent) pencil
+        sparsity pattern once and reuse it for every factorization of a
+        scan.  The small-``N`` dense layout has no symbolic analysis.
     backend:
         Array-backend name from :mod:`repro.backends` — ``"numpy"``
         (default, bit-for-bit the historical full-precision solver),
@@ -846,6 +856,18 @@ class SSHankelSolver:
         acc: MomentAccumulator,
         warm: Optional[Step1WarmStart] = None,
     ) -> List[PointStats]:
+        """Direct Step 1 in one of two factorization layouts.
+
+        Up to :data:`repro.solvers.direct.DENSE_STACK_MAX_N` unknowns,
+        every quadrature point is assembled into one dense
+        ``(n_pts, N, N)`` stack, solved with one batched LU (plus one
+        for the dual systems) and folded with one stacked moment
+        contraction.  Above it, each point gets its own SuperLU
+        factorization serving its primal and dual solves — the only
+        layout that fits in memory at large ``N``.
+        """
+        if self.blocks.n <= DENSE_STACK_MAX_N:
+            return self._step1_dense(pencil, contour, v, acc)
         stats: List[PointStats] = []
         if self._use_dual(pencil, contour):
             pairs = contour.dual_pairs()
@@ -874,6 +896,35 @@ class SSHankelSolver:
                 acc.add(pt.z, pt.weight, y, pt.sign)
                 stats.append(PointStats(pt.z, pt.circle, 0, 0.0, 0.0, "direct"))
         return stats
+
+    def _step1_dense(
+        self,
+        pencil: QuadraticPencil,
+        contour: AnnulusContour,
+        v: np.ndarray,
+        acc: MomentAccumulator,
+    ) -> List[PointStats]:
+        """The small-``N`` layout of :meth:`_step1_direct`."""
+        dual = self._use_dual(pencil, contour)
+        if dual:
+            pairs = contour.dual_pairs()
+            solved = [po for po, _ in pairs]
+            nodes = solved + [pi for _, pi in pairs]
+        else:
+            solved = nodes = contour.points()
+        p_stack = pencil.assemble_dense_stack([pt.z for pt in solved])
+        ys = solve_dense_stack(p_stack, v)
+        if dual:
+            # The inner circle's solutions are the duals P(z_out)^† Ỹ = V.
+            ys = np.concatenate([ys, solve_dense_stack(p_stack, v, True)])
+        acc.add_stack(
+            [pt.z for pt in nodes], [pt.weight for pt in nodes], ys,
+            [pt.sign for pt in nodes],
+        )
+        return [
+            PointStats(pt.z, pt.circle, 0, 0.0, 0.0, "direct")
+            for pt in solved
+        ]
 
     # -- BiCG path ------------------------------------------------------------
 

@@ -6,7 +6,7 @@ Covers the tentpole contract:
   input, inline degenerate paths);
 * persistence — the same worker processes serve consecutive calls;
 * shared-memory publication of :class:`BlockTriple` payloads: exact
-  roundtrip, one segment per distinct blocks object, and provable
+  roundtrip, one segment per distinct blocks content, and provable
   unlink on ``close()`` (no leaked segments, no resource_tracker
   noise);
 * lifecycle — context manager, idle shutdown + transparent respawn,
@@ -28,7 +28,11 @@ import pytest
 
 from repro.api import CBSJob, ExecutionSpec, KParSpec, compute
 from repro.models.ladder import TransverseLadder
-from repro.parallel.executor import SerialExecutor, make_executor
+from repro.parallel.executor import (
+    SerialExecutor,
+    blas_thread_counts,
+    make_executor,
+)
 from repro.parallel.pool import (
     PersistentPool,
     SharedBlocksRef,
@@ -80,6 +84,10 @@ class _ShardSpec:
 
     blocks: BlockTriple
     scale: float
+
+
+def _blas_threads(_):
+    return blas_thread_counts()
 
 
 def _h0_trace(spec):
@@ -199,6 +207,34 @@ def test_blocks_cross_the_pool_via_one_segment(pool):
     assert len(pool._segments) == 1
     assert pool.map(_h0_trace, items) == expected
     assert len(pool._segments) == 1
+    # equal content in distinct objects (every job rebuilds its blocks)
+    # shares that segment too
+    twins = [TransverseLadder(width=3).blocks(),
+             TransverseLadder(width=3).blocks()]
+    assert twins[0] is not twins[1] and twins[0] is not BLOCKS
+    items = [_ShardSpec(blocks=b, scale=1.0) for b in twins]
+    assert pool.map(_h0_trace, items) == expected[1:2] * 2
+    assert len(pool._segments) == 1
+    # different content gets its own segment
+    other = TransverseLadder(width=4).blocks()
+    pool.map(_h0_trace, [_ShardSpec(other, 1.0), _ShardSpec(other, 2.0)])
+    assert len(pool._segments) == 2
+
+
+def test_workers_run_single_threaded_blas(pool):
+    """Pool workers share the host's cores, so each pins its BLAS to
+    one thread instead of oversubscribing them."""
+    if not blas_thread_counts():
+        pytest.skip("no OpenBLAS loaded in this interpreter")
+    for counts in pool.map(_blas_threads, range(4)):
+        assert counts and set(counts.values()) == {1}
+
+
+def test_process_executor_workers_run_single_threaded_blas():
+    if not blas_thread_counts():
+        pytest.skip("no OpenBLAS loaded in this interpreter")
+    for counts in make_executor(("processes", 2)).map(_blas_threads, range(2)):
+        assert counts and set(counts.values()) == {1}
 
 
 def test_close_unlinks_segments():
