@@ -185,7 +185,9 @@ def _report():
             "Figure 4 — serial runtime & memory, OBM vs QEP/SS (bench scale)\n"
             f"(QEP/SS matrix-free variants on Al(100): lockstep BiCG "
             f"{t_bicg:.2f} s, batched BiCG {t_batched:.2f} s; "
-            "the sparse-LU strategy is optimal at these N)"
+            "the sparse-LU strategy is optimal at these N;\n"
+            " QEP/SS [MB] counts the Hamiltonian blocks as the solver stores "
+            "them: real float64 CSR at Γ, about half their complex cast)"
         ),
     )
     register_report("Figure 4 (serial performance)", table)

@@ -23,6 +23,15 @@ an explicit ``dtype`` is the host-side complex128 operator (bit-for-bit
 the historical behavior under the default ``"numpy"`` backend);
 :meth:`QuadraticPencil.solver_view` returns its reduced-precision or
 device twin for the backend's inner solves.
+
+Real-arithmetic products: a Γ-point real-space Hamiltonian arrives as
+real ``float64`` CSR, and the solvers keep it real.  Every block product
+of a complex ``(N, K)`` stack then multiplies the real block by the
+``float64`` view of the stack — ``2K`` interleaved real/imaginary
+columns — and views the result back as complex (see
+:func:`_block_products`).  This is bit-equal to the complex product:
+each output column keeps its per-row summation order, and the dropped
+``0·x`` terms of ``(a + 0i)(x_r + i x_i)`` are exact zeros.
 """
 
 from __future__ import annotations
@@ -37,6 +46,46 @@ from repro.backends.dtypes import COMPLEX_DTYPE, REAL_DTYPE
 from repro.backends.registry import resolve_backend
 from repro.errors import ConfigurationError
 from repro.qep.blocks import BlockTriple
+
+
+def _real_view_applies(blocks, xp=np) -> bool:
+    """Whether :func:`_block_products` takes the real view: all three
+    blocks sparse ``float64`` and the arithmetic in host numpy."""
+    return xp is np and all(
+        sp.issparse(m) and m.dtype == REAL_DTYPE
+        for m in (blocks.h0, blocks.hp, blocks.hm)
+    )
+
+
+def _block_products(blocks, x, xp):
+    """``(H0 X, H+ X, H- X)`` for a vector ``(N,)`` or column block ``(N, K)``.
+
+    Real sparse blocks under host numpy multiply the ``float64`` view of
+    the C-contiguous complex128 block (a vector goes in as an ``(N, 2)``
+    view), so scipy runs a real product and never upcasts the block data
+    per call.  Every other case — complex, reduced-precision, dense or
+    device blocks — is the plain product.  Either way the result is the
+    complex product bit for bit (see the module docstring).
+    """
+    if not _real_view_applies(blocks, xp):
+        return blocks.h0 @ x, blocks.hp @ x, blocks.hm @ x
+    xc = np.ascontiguousarray(x, dtype=COMPLEX_DTYPE)
+    xr = (xc if xc.ndim == 2 else xc[:, None]).view(REAL_DTYPE)
+    return tuple(
+        (m @ xr).view(COMPLEX_DTYPE).reshape(xc.shape)
+        for m in (blocks.h0, blocks.hp, blocks.hm)
+    )
+
+
+def _stacked_products(blocks, x, xp):
+    """The three block products of a stack ``(S, N, m)``, each ONE
+    product over all ``S·m`` columns, returned as ``(S, N, m)`` stacks."""
+    s, n, m = x.shape
+    xm = QuadraticPencil._stack_columns(x, xp)
+    return tuple(
+        QuadraticPencil._unstack_columns(p, s, m, xp)
+        for p in _block_products(blocks, xm, xp)
+    )
 
 
 class QuadraticPencil:
@@ -137,8 +186,8 @@ class QuadraticPencil:
         z = complex(z)
         if z == 0:
             raise ConfigurationError("P(z) is undefined at z = 0")
-        b = self.blocks
-        return self._e * x - (b.h0 @ x) - z * (b.hp @ x) - (b.hm @ x) / z
+        h0x, hpx, hmx = _block_products(self.blocks, x, self._xp)
+        return self._e * x - h0x - z * hpx - hmx / z
 
     def apply_adjoint(self, z: complex, x: np.ndarray) -> np.ndarray:
         """``P(z)^† @ x``.
@@ -151,13 +200,8 @@ class QuadraticPencil:
         if self.is_dual_symmetric:
             return self.apply(self.dual_shift(z), x)
         zb = complex(z).conjugate()
-        b = self.blocks
-        return (
-            self._e_conj * x
-            - (b.h0 @ x)
-            - zb * (b.hm @ x)
-            - (b.hp @ x) / zb
-        )
+        h0x, hpx, hmx = _block_products(self.blocks, x, self._xp)
+        return self._e_conj * x - h0x - zb * hmx - hpx / zb
 
     # -- batched application ---------------------------------------------------
 
@@ -202,12 +246,7 @@ class QuadraticPencil:
             )
         if bool(xp.any(zs == 0)):
             raise ConfigurationError("P(z) is undefined at z = 0")
-        b = self.blocks
-        s, n, m = x.shape
-        xm = self._stack_columns(x, xp)
-        h0x = self._unstack_columns(b.h0 @ xm, s, m, xp)
-        hpx = self._unstack_columns(b.hp @ xm, s, m, xp)
-        hmx = self._unstack_columns(b.hm @ xm, s, m, xp)
+        h0x, hpx, hmx = _stacked_products(self.blocks, x, xp)
         z = zs[:, None, None]
         return self._e * x - h0x - z * hpx - hmx / z
 
@@ -230,12 +269,7 @@ class QuadraticPencil:
                 f"need x of shape (S, N, m) with S = {zs.shape[0]}, "
                 f"got {x.shape}"
             )
-        b = self.blocks
-        s, n, m = x.shape
-        xm = self._stack_columns(x, xp)
-        h0x = self._unstack_columns(b.h0 @ xm, s, m, xp)
-        hpx = self._unstack_columns(b.hp @ xm, s, m, xp)
-        hmx = self._unstack_columns(b.hm @ xm, s, m, xp)
+        h0x, hpx, hmx = _stacked_products(self.blocks, x, xp)
         zb = xp.conj(zs)[:, None, None]
         return self._e_conj * x - h0x - zb * hmx - hpx / zb
 
@@ -314,11 +348,25 @@ class QuadraticPencil:
         return float(np.linalg.norm(self.apply(lam, psi))) / nrm
 
     def residuals(self, lams: np.ndarray, psis: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`residual` over eigenpair columns."""
+        """Vectorized :meth:`residual` over eigenpair columns.
+
+        All nonzero columns go through ONE :meth:`apply_batch` (one
+        product per block over every candidate); the norms stay the
+        per-column 1-D ``np.linalg.norm`` of :meth:`residual`, so the
+        result equals the one-at-a-time loop bit for bit.  A zero column
+        reads ``inf`` without touching its ``λ``, as in :meth:`residual`.
+        """
         lams = np.atleast_1d(lams)
-        out = np.empty(lams.shape[0], dtype=REAL_DTYPE)
-        for i, lam in enumerate(lams):
-            out[i] = self.residual(lam, psis[:, i])
+        psis = np.asarray(psis)
+        nrms = np.array(
+            [float(np.linalg.norm(psis[:, i])) for i in range(lams.shape[0])]
+        )
+        out = np.full(lams.shape[0], np.inf, dtype=REAL_DTYPE)
+        live = np.flatnonzero(nrms != 0.0)
+        if live.size:
+            r = self.apply_batch(lams[live], psis[:, live].T[:, :, None])
+            for j, i in enumerate(live):
+                out[i] = float(np.linalg.norm(r[j, :, 0])) / nrms[i]
         return out
 
     def dual_identity_defect(self, z: complex, probes: int = 3,

@@ -426,7 +426,9 @@ class CrossEnergyBatch:
     Parameters
     ----------
     blocks:
-        The (complex) :class:`repro.qep.blocks.BlockTriple` — or, for a
+        The :class:`repro.qep.blocks.BlockTriple` (real sparse blocks
+        take the real-view products of
+        :func:`repro.qep.pencil._block_products`) — or, for a
         reduced-precision/device view, the triple returned by
         :meth:`repro.backends.base.ArrayBackend.solver_blocks`.
     energies, shifts:
@@ -498,16 +500,9 @@ class CrossEnergyBatch:
 
     def _products(self, x):
         """The three stacked block products (each ONE sparse matmul)."""
-        from repro.qep.pencil import QuadraticPencil
+        from repro.qep.pencil import _stacked_products
 
-        xp = self._xp
-        b = self.blocks
-        s, n, m = x.shape
-        xm = QuadraticPencil._stack_columns(x, xp)
-        h0x = QuadraticPencil._unstack_columns(b.h0 @ xm, s, m, xp)
-        hpx = QuadraticPencil._unstack_columns(b.hp @ xm, s, m, xp)
-        hmx = QuadraticPencil._unstack_columns(b.hm @ xm, s, m, xp)
-        return h0x, hpx, hmx
+        return _stacked_products(self.blocks, x, self._xp)
 
     def _validate(self, x):
         xp = self._xp

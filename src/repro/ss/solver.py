@@ -45,7 +45,7 @@ from repro.backends.dtypes import COMPLEX_DTYPE, REAL_DTYPE
 from repro.backends.registry import available_backends, get_backend
 from repro.errors import ConfigurationError, ExtractionError
 from repro.qep.blocks import BlockTriple
-from repro.qep.pencil import QuadraticPencil
+from repro.qep.pencil import QuadraticPencil, _real_view_applies
 from repro.parallel.executor import SerialExecutor, make_executor
 from repro.solvers.batched import (
     CrossEnergyBatch,
@@ -429,7 +429,12 @@ class SSHankelSolver:
 
     def __init__(self, blocks: BlockTriple, config: SSConfig | None = None,
                  *, validate: bool = True) -> None:
-        self.blocks = blocks.as_complex()
+        # Real sparse blocks stay real: the Step-1 block products then
+        # run on the float64 view of the complex iterates (bit-equal,
+        # see repro.qep.pencil); any other triple is cast once here.
+        self.blocks = (
+            blocks if _real_view_applies(blocks) else blocks.as_complex()
+        )
         self.config = config or SSConfig()
         if validate:
             self.blocks.validate_bulk(tol=1e-8)
@@ -953,13 +958,22 @@ class SSHankelSolver:
         # One task per (shift, rhs column).
         tasks = [(i, c) for i in range(len(shifts)) for c in range(n_rh)]
         maxiter = rule.maxiter or max(10 * self.blocks.n, 100)
+        # Each system applies P(z) to one vector, where the real view
+        # loses to a complex product (a width-2 real product costs ~2x a
+        # complex matvec at N=512), so real blocks iterate on their
+        # complex cast here; the bits are the same either way.
+        step_pencil = pencil
+        if _real_view_applies(self.blocks):
+            step_pencil = QuadraticPencil(
+                self.blocks.as_complex(), pencil.energy, pencil.backend
+            )
 
         def make_stepper(i: int, c: int) -> BiCGStepper:
             z = shifts[i]
             precond = jacobi_preconditioner(pencil, z) if cfg.jacobi else None
             return BiCGStepper(
-                lambda x, z=z: pencil.apply(z, x),
-                lambda x, z=z: pencil.apply_adjoint(z, x),
+                lambda x, z=z: step_pencil.apply(z, x),
+                lambda x, z=z: step_pencil.apply_adjoint(z, x),
                 v[:, c],
                 v[:, c] if use_dual else None,
                 precond=precond,
@@ -1270,6 +1284,8 @@ class SSHankelSolver:
 
     def _memory_report(self, acc: MomentAccumulator, hankel_dim: int) -> MemoryReport:
         rep = MemoryReport()
+        # The triple as stored: a real triple is about half the bytes
+        # of its complex cast.
         rep.add("Hamiltonian blocks (sparse)", self.blocks.nbytes)
         rep.merge(acc.memory_report())
         # Hankel pair + SVD factors, all (n_rh*n_mm)^2 complex.
