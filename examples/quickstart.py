@@ -13,7 +13,6 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.api import CBSJob, RingSpec, ScanSpec, SystemSpec, compute
-from repro.backends import available_backends
 from repro.models.chain import DiatomicChain, MonatomicChain
 
 
@@ -77,41 +76,6 @@ def gap_scan_demo() -> None:
           f"(repro {result.provenance['repro_version']})")
 
 
-def backend_demo() -> None:
-    """The same job on a different array backend.
-
-    ``ExecutionSpec(backend=...)`` selects the arithmetic the Step-1
-    hot path runs on.  ``"numpy"`` (the default) is bit-for-bit the
-    reference solver; ``"numpy-mixed"`` iterates BiCG in complex64 and
-    re-converges the complex128 residual by iterative refinement —
-    same accepted modes to ~1e-6, cheaper memory traffic per round.
-    """
-    job = CBSJob(
-        system=SystemSpec("chain", {"onsite": 0.0, "hopping": -1.0}),
-        scan=ScanSpec(energies=(0.7,), n_mm=2, n_rh=2, seed=1,
-                      linear_solver="bicg-batched"),
-        ring=RingSpec(n_int=16),
-    )
-    reference = compute(job)
-    mixed = compute(
-        CBSJob.from_dict({**job.to_dict(),
-                          "execution": {"backend": "numpy-mixed"}})
-    )
-
-    print("Array backends (available: %s):" % (available_backends(),))
-    for name, result in (("numpy", reference), ("numpy-mixed", mixed)):
-        lams = np.sort_complex(result.slices[0].lambdas())
-        print(f"  backend={name:12s} λ = "
-              + "  ".join(f"{lam:+.6f}" for lam in lams))
-    dev = float(np.max(np.abs(
-        np.sort_complex(reference.slices[0].lambdas())
-        - np.sort_complex(mixed.slices[0].lambdas())
-    )))
-    print(f"  → mixed-precision deviation {dev:.1e} (documented bar: 1e-6);")
-    print("    cache keys differ, so the runs never share slice-cache entries.")
-
-
 if __name__ == "__main__":
     single_energy_demo()
     gap_scan_demo()
-    backend_demo()

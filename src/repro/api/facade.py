@@ -328,7 +328,7 @@ def _iter_transport_engine(
     """
     ex = job.execution
     ts = job.transport
-    cfg = ts.self_energy_config(backend=ex.backend)
+    cfg = ts.self_energy_config()
     device = _make_device(job, blocks)
     energies = list(job.energies())
 
@@ -432,7 +432,7 @@ def _iter_kpar_engine(
 
     if engine == "transport":
         ts = job.transport
-        cfg = ts.self_energy_config(backend=ex.backend)
+        cfg = ts.self_energy_config()
         devices = [
             (k, w, _make_device(job, blocks)) for k, w, blocks in columns
         ]

@@ -37,7 +37,6 @@ from dataclasses import asdict, dataclass, field, fields
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.backends.registry import available_backends, get_backend
 from repro.cbs.orchestrator import RefinePolicy, TuningPolicy
 from repro.errors import ConfigurationError
 from repro.ss.solver import SSConfig
@@ -375,14 +374,6 @@ class ExecutionSpec:
     tuning, refine:
         Optional explicit adaptive policies; ``None`` means the mode
         default (enabled for ``"orchestrated"``, disabled otherwise).
-    backend:
-        Array-backend name from :mod:`repro.backends` running the
-        Step-1 hot path (``"numpy"``, ``"numpy-mixed"``, ``"cupy"``
-        when installed).  Lives on the execution spec because the
-        default is answer-preserving, but a backend that changes
-        numerics (``bitwise_numpy = False``) is folded into
-        :meth:`CBSJob.cache_context` so its slices never share cache
-        entries with full-precision runs.
     """
 
     mode: str = "serial"
@@ -392,7 +383,6 @@ class ExecutionSpec:
     cache_dir: Optional[str] = None
     tuning: Optional[TuningPolicy] = None
     refine: Optional[RefinePolicy] = None
-    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.mode not in _EXEC_MODES:
@@ -409,11 +399,6 @@ class ExecutionSpec:
             raise ConfigurationError(
                 f"ExecutionSpec.n_shards must be >= 1 or None, "
                 f"got {self.n_shards}"
-            )
-        if self.backend not in available_backends():
-            raise ConfigurationError(
-                f"unknown array backend {self.backend!r}; "
-                f"available backends: {sorted(available_backends())}"
             )
         if isinstance(self.tuning, Mapping):
             object.__setattr__(
@@ -458,7 +443,7 @@ class ExecutionSpec:
         return ("processes", int(self.workers))
 
     def to_dict(self) -> Dict[str, Any]:
-        d = {
+        return {
             "mode": self.mode,
             "workers": self.workers,
             "n_shards": self.n_shards,
@@ -467,11 +452,6 @@ class ExecutionSpec:
             "tuning": asdict(self.tuning) if self.tuning is not None else None,
             "refine": asdict(self.refine) if self.refine is not None else None,
         }
-        # Default-backend jobs keep the exact dict layout (and hashes)
-        # they had before the backend seam existed.
-        if self.backend != "numpy":
-            d["backend"] = self.backend
-        return d
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "ExecutionSpec":
@@ -828,10 +808,9 @@ class TransportSpec:
             )
         self.self_energy_config()  # eager validation (eta, ring, n_rh…)
 
-    def self_energy_config(self, backend: str = "numpy"):
+    def self_energy_config(self):
         """The validated :class:`repro.transport.SelfEnergyConfig` this
-        spec describes.  ``backend`` (from the job's execution spec)
-        selects the array backend of the underlying SS solves."""
+        spec describes."""
         from repro.transport.selfenergy import SelfEnergyConfig
 
         return SelfEnergyConfig(
@@ -842,7 +821,6 @@ class TransportSpec:
             ring_radius=self.ring_radius,
             residual_tol=self.residual_tol,
             seed=self.seed,
-            backend=backend,
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -1019,7 +997,6 @@ class CBSJob:
             residual_tol=self.scan.residual_tol,
             annulus_margin=self.ring.annulus_margin,
             seed=self.scan.seed,
-            backend=self.execution.backend,
         )
 
     def engine(self) -> str:
@@ -1172,20 +1149,12 @@ class CBSJob:
         numerics (ring, moment sizes) never fragments a transport
         cache, and a transport context can never collide with a CBS
         context.
-
-        The array backend is execution-shaped but folded in *only*
-        when it changes the numerics (``bitwise_numpy = False``, e.g.
-        ``"numpy-mixed"``): its slices must never share entries with
-        full-precision runs, while ``backend="numpy"`` keys
-        byte-identically to the pre-backend layout.
         """
         if self.transport is not None:
             payload = {
                 "system": self.system.to_dict(),
                 "transport": self.transport.to_dict(),
             }
-            if not get_backend(self.execution.backend).bitwise_numpy:
-                payload["backend"] = self.execution.backend
             if k_par is not None:
                 payload["k_par"] = float(k_par)
             h = hashlib.sha256()
@@ -1213,12 +1182,6 @@ class CBSJob:
             "scan": scan_physics,
             "tuning": asdict(effective_tuning),
         }
-        # A backend that solves in different arithmetic produces
-        # different slices; fold it in.  ``"numpy"`` (and any other
-        # bitwise-equivalent backend) keys byte-identically to the
-        # pre-backend layout.
-        if not get_backend(self.execution.backend).bitwise_numpy:
-            payload["backend"] = self.execution.backend
         if k_par is not None:
             payload["k_par"] = float(k_par)
         if interpolated and self.map is not None:

@@ -48,7 +48,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.cbs.classify import classify_modes
 from repro.cbs.scan import CBSCalculator, CBSResult, EnergySlice
 from repro.io.slice_cache import SliceCache, context_key
 from repro.parallel.executor import chunk_spans, make_executor
@@ -457,15 +456,6 @@ def _solve_shard(spec: _ShardSpec) -> Tuple[List[EnergySlice], ShardStats]:
     pol = spec.tuning
     cfg = spec.config.resolved(spec.blocks.n)
 
-    # The cross-energy engine replaces the per-slice loop wholesale: one
-    # stacked Step-1 advances every uncached energy of the tile at once.
-    # Auto-tuning re-solves individual energies with changed parameters,
-    # which is incompatible with a shared stack — tuned shards fall back
-    # to the per-slice loop (where the strategy degenerates to
-    # ``"bicg-batched"`` per energy).
-    if cfg.linear_solver == "bicg-batched-grid" and not pol.enabled:
-        return _solve_shard_grid(spec, energies, stats, cache, cfg)
-
     def build(c: SSConfig) -> CBSCalculator:
         return CBSCalculator(
             spec.blocks,
@@ -574,66 +564,6 @@ def _solve_shard(spec: _ShardSpec) -> Tuple[List[EnergySlice], ShardStats]:
     stats.final_n_mm = cfg.n_mm
     stats.final_n_rh = cfg.n_rh
     return slices, stats
-
-
-def _solve_shard_grid(
-    spec: _ShardSpec,
-    energies: List[float],
-    stats: ShardStats,
-    cache: Optional[SliceCache],
-    cfg: SSConfig,
-) -> Tuple[List[EnergySlice], ShardStats]:
-    """Cross-energy batched shard solve (``"bicg-batched-grid"``).
-
-    Cache hits are served normally; all misses go into ONE stacked
-    Step-1 call (:meth:`repro.ss.solver.SSHankelSolver.solve_grid`),
-    whose per-energy results are bit-identical to cold per-slice
-    ``"bicg-batched"`` solves.  The shard's ``warm_start`` flag is
-    superseded — batching across energies is what the warm chain was
-    approximating, applied exactly.
-    """
-    hits: dict = {}
-    misses: List[float] = []
-    for e in energies:
-        hit = cache.get_hit(e) if cache is not None else None
-        if hit is not None:
-            stats.cache_hits += 1
-            hit.k_par = spec.k_par
-            hits[e] = hit
-        else:
-            misses.append(e)
-
-    slices_by_e = dict(hits)
-    if misses:
-        solver = SSHankelSolver(spec.blocks, cfg)
-        t0 = time.perf_counter()
-        results = solver.solve_grid(misses)
-        per_energy = (time.perf_counter() - t0) / len(misses)
-        for e, res in zip(misses, results):
-            modes = classify_modes(
-                e,
-                res.eigenvalues,
-                res.residuals,
-                spec.blocks.cell_length,
-                propagating_tol=spec.propagating_tol,
-            )
-            sl = EnergySlice(
-                float(e),
-                modes,
-                total_iterations=res.total_iterations(),
-                solve_seconds=per_energy,
-            )
-            sl.k_par = spec.k_par
-            stats.solves += 1
-            stats.solve_seconds += per_energy
-            if cache is not None:
-                cache.put(sl)
-            slices_by_e[e] = sl
-
-    stats.final_n_int = cfg.n_int
-    stats.final_n_mm = cfg.n_mm
-    stats.final_n_rh = cfg.n_rh
-    return [slices_by_e[e] for e in energies], stats
 
 
 # ----------------------------------------------------------------------

@@ -66,6 +66,10 @@ def estimate_fermi(
     if n_bands is None:
         n_bands = min(n, max(4, n_electrons))
 
+    # A fixed Lanczos start vector makes the sparse path reproducible:
+    # ARPACK's own random start moves E_F in its last digits from run
+    # to run, and every downstream iteration count with it.
+    v0 = np.random.default_rng(n).standard_normal(n)
     levels = []
     for k in kvals:
         h = blocks.bloch_hamiltonian_k(float(k))
@@ -76,7 +80,7 @@ def estimate_fermi(
             e = np.sort(
                 np.real(
                     spla.eigsh(
-                        h.tocsc(), k=n_bands, which="SA",
+                        h.tocsc(), k=n_bands, which="SA", v0=v0,
                         return_eigenvectors=False,
                     )
                 )

@@ -129,12 +129,13 @@ class SCFSolver:
             self.structure, self.grid, nf=self.nf,
             external_potential=v_eff,
         ).build()
-        # Γ-point: the periodic Hamiltonian of this cell.
-        return blocks.bloch_hamiltonian(1.0).tocsc()
+        # Γ-point: the periodic Hamiltonian of this cell, H0 + H+ + H-,
+        # summed in the blocks' own real arithmetic.
+        return (blocks.h0 + blocks.hp + blocks.hm).tocsc()
 
     def _lowest_states(self, h) -> tuple[np.ndarray, np.ndarray]:
         k = min(self.n_bands, h.shape[0] - 2)
-        vals, vecs = spla.eigsh(h.astype(np.float64), k=k, which="SA")
+        vals, vecs = spla.eigsh(h, k=k, which="SA")
         order = np.argsort(vals)
         return vals[order], vecs[:, order]
 

@@ -15,15 +15,6 @@ inner-circle quadrature points of the annulus satisfy
 ``z^{(2)}_j = 1/\\bar z^{(1)}_j``, so the inner systems are exactly the
 dual (adjoint) systems of the outer ones and one BiCG run solves both.
 
-Array backend seam: the batched appliers — the per-iteration kernels of
-the batched BiCG engine — route all array arithmetic through the
-pencil's ``xp`` namespace and dtype, both supplied by an
-:class:`repro.backends.base.ArrayBackend`.  A pencil constructed without
-an explicit ``dtype`` is the host-side complex128 operator (bit-for-bit
-the historical behavior under the default ``"numpy"`` backend);
-:meth:`QuadraticPencil.solver_view` returns its reduced-precision or
-device twin for the backend's inner solves.
-
 Real-arithmetic products: a Γ-point real-space Hamiltonian arrives as
 real ``float64`` CSR, and the solvers keep it real.  Every block product
 of a complex ``(N, K)`` stack then multiplies the real block by the
@@ -36,38 +27,35 @@ each output column keeps its per-row summation order, and the dropped
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
-from repro.backends.dtypes import COMPLEX_DTYPE, REAL_DTYPE
-from repro.backends.registry import resolve_backend
+from repro.dtypes import COMPLEX_DTYPE, REAL_DTYPE
 from repro.errors import ConfigurationError
 from repro.qep.blocks import BlockTriple
 
 
-def _real_view_applies(blocks, xp=np) -> bool:
+def _real_view_applies(blocks) -> bool:
     """Whether :func:`_block_products` takes the real view: all three
-    blocks sparse ``float64`` and the arithmetic in host numpy."""
-    return xp is np and all(
+    blocks sparse ``float64``."""
+    return all(
         sp.issparse(m) and m.dtype == REAL_DTYPE
         for m in (blocks.h0, blocks.hp, blocks.hm)
     )
 
 
-def _block_products(blocks, x, xp):
+def _block_products(blocks, x):
     """``(H0 X, H+ X, H- X)`` for a vector ``(N,)`` or column block ``(N, K)``.
 
-    Real sparse blocks under host numpy multiply the ``float64`` view of
-    the C-contiguous complex128 block (a vector goes in as an ``(N, 2)``
-    view), so scipy runs a real product and never upcasts the block data
-    per call.  Every other case — complex, reduced-precision, dense or
-    device blocks — is the plain product.  Either way the result is the
-    complex product bit for bit (see the module docstring).
+    Real sparse blocks multiply the ``float64`` view of the C-contiguous
+    complex128 block (a vector goes in as an ``(N, 2)`` view), so scipy
+    runs a real product and never upcasts the block data per call.
+    Every other case — complex or dense blocks — is the plain product.
+    Either way the result is the complex product bit for bit (see the
+    module docstring).
     """
-    if not _real_view_applies(blocks, xp):
+    if not _real_view_applies(blocks):
         return blocks.h0 @ x, blocks.hp @ x, blocks.hm @ x
     xc = np.ascontiguousarray(x, dtype=COMPLEX_DTYPE)
     xr = (xc if xc.ndim == 2 else xc[:, None]).view(REAL_DTYPE)
@@ -77,14 +65,14 @@ def _block_products(blocks, x, xp):
     )
 
 
-def _stacked_products(blocks, x, xp):
+def _stacked_products(blocks, x):
     """The three block products of a stack ``(S, N, m)``, each ONE
     product over all ``S·m`` columns, returned as ``(S, N, m)`` stacks."""
     s, n, m = x.shape
-    xm = QuadraticPencil._stack_columns(x, xp)
+    xm = QuadraticPencil._stack_columns(x)
     return tuple(
-        QuadraticPencil._unstack_columns(p, s, m, xp)
-        for p in _block_products(blocks, xm, xp)
+        QuadraticPencil._unstack_columns(p, s, m)
+        for p in _block_products(blocks, xm)
     )
 
 
@@ -94,46 +82,18 @@ class QuadraticPencil:
     Parameters
     ----------
     blocks:
-        The unit-cell :class:`BlockTriple` (or, for a solver view, the
-        triple returned by ``backend.solver_blocks``).
+        The unit-cell :class:`BlockTriple`.
     energy:
         The real energy ``E`` at which the CBS is sought.  A complex
         energy is accepted (used for regularization probes) but disables
         the dual-system identity.
-    backend:
-        An :class:`repro.backends.base.ArrayBackend`, its registry name,
-        or ``None`` for the default ``"numpy"`` backend.
-    dtype:
-        Arithmetic dtype for the batched appliers.  ``None`` (the
-        default) selects the backend's accumulation dtype (complex128)
-        with host-numpy arithmetic; passing an explicit dtype marks this
-        pencil as a solver-side view running in the backend's ``xp``
-        namespace (the convention used by :meth:`solver_view`).
     """
 
-    def __init__(
-        self,
-        blocks: BlockTriple,
-        energy: complex,
-        backend=None,
-        *,
-        dtype=None,
-    ) -> None:
-        self.backend = resolve_backend(backend)
+    def __init__(self, blocks: BlockTriple, energy: complex) -> None:
         self.blocks = blocks
         self.energy = complex(energy)
-        self.dtype = (
-            np.dtype(dtype) if dtype is not None
-            else self.backend.complex_dtype
-        )
-        self._xp = self.backend.xp if dtype is not None else np
-        # NEP-50-safe scalars: typed zero-dim scalars keep a reduced-
-        # precision stack in its dtype where a python complex would too —
-        # but explicitly, and bit-identically for complex128.
-        self._e = self.dtype.type(self.energy)
-        self._e_conj = self.dtype.type(self.energy.conjugate())
-        self._identity: Optional[sp.spmatrix | np.ndarray] = None
-        self._solver_view: Optional["QuadraticPencil"] = None
+        self._e = COMPLEX_DTYPE.type(self.energy)
+        self._e_conj = COMPLEX_DTYPE.type(self.energy.conjugate())
 
     # -- basic properties -----------------------------------------------------
 
@@ -154,28 +114,6 @@ class QuadraticPencil:
             raise ConfigurationError("z = 0 has no dual shift")
         return 1.0 / np.conj(z)
 
-    def solver_view(self) -> "QuadraticPencil":
-        """The pencil the backend's inner solver iterates with.
-
-        Returns ``self`` when the backend solves in this pencil's dtype
-        and namespace (the ``"numpy"`` backend — no cast, no copy,
-        bit-for-bit).  Otherwise builds (once, cached) a twin pencil on
-        ``backend.solver_blocks`` in the backend's solve dtype — the
-        complex64 operator for ``"numpy-mixed"``, the device operator
-        for ``"cupy"``.
-        """
-        be = self.backend
-        if be.solve_dtype == self.dtype and be.xp is self._xp:
-            return self
-        if self._solver_view is None:
-            self._solver_view = QuadraticPencil(
-                be.solver_blocks(self.blocks),
-                self.energy,
-                backend=be,
-                dtype=be.solve_dtype,
-            )
-        return self._solver_view
-
     # -- application -----------------------------------------------------------
 
     def apply(self, z: complex, x: np.ndarray) -> np.ndarray:
@@ -186,7 +124,7 @@ class QuadraticPencil:
         z = complex(z)
         if z == 0:
             raise ConfigurationError("P(z) is undefined at z = 0")
-        h0x, hpx, hmx = _block_products(self.blocks, x, self._xp)
+        h0x, hpx, hmx = _block_products(self.blocks, x)
         return self._e * x - h0x - z * hpx - hmx / z
 
     def apply_adjoint(self, z: complex, x: np.ndarray) -> np.ndarray:
@@ -200,23 +138,23 @@ class QuadraticPencil:
         if self.is_dual_symmetric:
             return self.apply(self.dual_shift(z), x)
         zb = complex(z).conjugate()
-        h0x, hpx, hmx = _block_products(self.blocks, x, self._xp)
+        h0x, hpx, hmx = _block_products(self.blocks, x)
         return self._e_conj * x - h0x - zb * hmx - hpx / zb
 
     # -- batched application ---------------------------------------------------
 
     @staticmethod
-    def _stack_columns(x, xp):
+    def _stack_columns(x):
         """Reorder a stack ``(S, N, m)`` into one matvec block ``(N, S*m)``."""
         s, n, m = x.shape
-        return xp.moveaxis(x, 0, 1).reshape(n, s * m)
+        return np.moveaxis(x, 0, 1).reshape(n, s * m)
 
     @staticmethod
-    def _unstack_columns(x, s: int, m: int, xp):
+    def _unstack_columns(x, s: int, m: int):
         """Inverse of :meth:`_stack_columns`."""
-        x = xp.asarray(x)
+        x = np.asarray(x)
         n = x.shape[0]
-        return xp.moveaxis(x.reshape(n, s, m), 1, 0)
+        return np.moveaxis(x.reshape(n, s, m), 1, 0)
 
     def apply_batch(self, zs: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``P(z_i) @ X_i`` for a whole stack of shifts in one sweep.
@@ -236,17 +174,16 @@ class QuadraticPencil:
         calls (the paper's middle/top parallel layers collapsed into
         BLAS-width work).
         """
-        xp = self._xp
-        zs = xp.atleast_1d(xp.asarray(zs, dtype=self.dtype))
-        x = xp.asarray(x, dtype=self.dtype)
+        zs = np.atleast_1d(np.asarray(zs, dtype=COMPLEX_DTYPE))
+        x = np.asarray(x, dtype=COMPLEX_DTYPE)
         if x.ndim != 3 or x.shape[0] != zs.shape[0]:
             raise ConfigurationError(
                 f"need x of shape (S, N, m) with S = {zs.shape[0]}, "
                 f"got {x.shape}"
             )
-        if bool(xp.any(zs == 0)):
+        if bool(np.any(zs == 0)):
             raise ConfigurationError("P(z) is undefined at z = 0")
-        h0x, hpx, hmx = _stacked_products(self.blocks, x, xp)
+        h0x, hpx, hmx = _stacked_products(self.blocks, x)
         z = zs[:, None, None]
         return self._e * x - h0x - z * hpx - hmx / z
 
@@ -257,20 +194,19 @@ class QuadraticPencil:
         the explicit adjoint arithmetic with ``H+† = H-`` assumed by the
         bulk validation, exactly mirroring :meth:`apply_adjoint`.
         """
-        xp = self._xp
-        zs = xp.atleast_1d(xp.asarray(zs, dtype=self.dtype))
-        if bool(xp.any(zs == 0)):
+        zs = np.atleast_1d(np.asarray(zs, dtype=COMPLEX_DTYPE))
+        if bool(np.any(zs == 0)):
             raise ConfigurationError("P(z) is undefined at z = 0")
         if self.is_dual_symmetric:
-            return self.apply_batch(1.0 / xp.conj(zs), x)
-        x = xp.asarray(x, dtype=self.dtype)
+            return self.apply_batch(1.0 / np.conj(zs), x)
+        x = np.asarray(x, dtype=COMPLEX_DTYPE)
         if x.ndim != 3 or x.shape[0] != zs.shape[0]:
             raise ConfigurationError(
                 f"need x of shape (S, N, m) with S = {zs.shape[0]}, "
                 f"got {x.shape}"
             )
-        h0x, hpx, hmx = _stacked_products(self.blocks, x, xp)
-        zb = xp.conj(zs)[:, None, None]
+        h0x, hpx, hmx = _stacked_products(self.blocks, x)
+        zb = np.conj(zs)[:, None, None]
         return self._e_conj * x - h0x - zb * hmx - hpx / zb
 
     def as_linear_operator(self, z: complex) -> LinearOperator:

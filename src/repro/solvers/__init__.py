@@ -14,10 +14,8 @@ The Sakurai-Sugiura Step 1 spends essentially all of its time here
 from repro.solvers.bicg import bicg_dual, BiCGResult
 from repro.solvers.batched import (
     BatchedBiCG,
-    CrossEnergyBatch,
     Step1WarmStart,
     run_batched_bicg,
-    run_grid_bicg,
 )
 from repro.solvers.cg import conjugate_gradient, CGResult
 from repro.solvers.direct import SparseLUSolver, rcm_ordering
@@ -37,10 +35,8 @@ __all__ = [
     "bicg_dual",
     "BiCGResult",
     "BatchedBiCG",
-    "CrossEnergyBatch",
     "Step1WarmStart",
     "run_batched_bicg",
-    "run_grid_bicg",
     "conjugate_gradient",
     "CGResult",
     "SparseLUSolver",

@@ -37,10 +37,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.backends.dtypes import (
-    BREAKDOWN_TOL,  # noqa: F401 — canonical home moved to repro.backends
-    COMPLEX_DTYPE,
-)
+from repro.dtypes import BREAKDOWN_TOL, COMPLEX_DTYPE
 from repro.solvers.stopping import QuorumController, ResidualRule, StopReason
 
 Apply = Callable[[np.ndarray], np.ndarray]

@@ -4,8 +4,7 @@ The Sakurai-Sugiura Step 1 — solve ``P(z_j) Y_j = V`` at every
 quadrature shift — admits several execution strategies (sparse direct,
 per-task BiCG emulating the paper's parallel middle layer, vectorized
 batched BiCG).  The SS solver dispatches by name through this registry
-so new strategies (e.g. an accelerator backend) can be plugged in
-without touching the solver:
+so new strategies can be plugged in without touching the solver:
 
 >>> from repro.solvers.registry import step1_strategy
 >>> @step1_strategy("my-strategy")
@@ -53,12 +52,7 @@ def available_strategies() -> Tuple[str, ...]:
     return tuple(sorted(_STRATEGIES))
 
 
-def resolve_strategy(
-    name: str,
-    n: int,
-    direct_threshold: int = 6000,
-    backend=None,
-) -> str:
+def resolve_strategy(name: str, n: int, direct_threshold: int = 6000) -> str:
     """Resolve a strategy spec to a concrete registered name.
 
     ``"auto"`` picks by problem size: sparse direct factorization up to
@@ -67,21 +61,8 @@ def resolve_strategy(
     (raising the registry's descriptive ``KeyError`` on a miss), so a
     per-slice config can be resolved once and then dispatched repeatedly
     without re-deciding.
-
-    The array ``backend`` (name, instance, or ``None`` for the default)
-    adds a capability dimension: a backend without a native sparse LU
-    (``"numpy-mixed"``, ``"cupy"``) gains nothing from ``"direct"`` —
-    its factorization would fall back to full-precision host SuperLU —
-    so ``"auto"`` routes it to the batched engine at every size, where
-    its reduced-precision/device arithmetic actually pays.  An explicit
-    ``"direct"`` request still passes through (the fallback is valid,
-    just not a win).
     """
     if name == "auto":
-        from repro.backends.registry import resolve_backend
-
-        if not resolve_backend(backend).has_sparse_lu:
-            return "bicg-batched"
         return "direct" if n <= direct_threshold else "bicg-batched"
     get_step1_strategy(name)
     return name

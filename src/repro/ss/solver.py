@@ -41,26 +41,20 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backends.dtypes import COMPLEX_DTYPE, REAL_DTYPE
-from repro.backends.registry import available_backends, get_backend
+from repro.dtypes import COMPLEX_DTYPE, REAL_DTYPE
 from repro.errors import ConfigurationError, ExtractionError
 from repro.qep.blocks import BlockTriple
 from repro.qep.pencil import QuadraticPencil, _real_view_applies
 from repro.parallel.executor import SerialExecutor, make_executor
-from repro.solvers.batched import (
-    CrossEnergyBatch,
-    Step1WarmStart,
-    run_batched_bicg,
-    run_grid_bicg,
-)
+from repro.solvers.batched import Step1WarmStart, run_batched_bicg
 from repro.solvers.bicg import BiCGResult, BiCGStepper
 from repro.solvers.direct import (
     DENSE_STACK_MAX_N,
+    SparseLUSolver,
     rcm_ordering,
     solve_dense_stack,
 )
 from repro.solvers.preconditioners import jacobi_preconditioner
-from repro.solvers.refine import run_refined_bicg
 from repro.solvers.registry import (
     available_strategies,
     get_step1_strategy,
@@ -106,12 +100,9 @@ class SSConfig:
         (LU: dense and batched over all shifts for small ``N``, sparse
         per shift above :data:`repro.solvers.direct.DENSE_STACK_MAX_N`),
         ``"bicg"`` (the paper's iterative path, one task
-        per shift×RHS), ``"bicg-batched"`` (vectorized block engine),
-        ``"bicg-batched-grid"`` (the cross-energy engine: scans stack
-        *all* energies of a shard into one batched Step-1 via
-        :meth:`SSHankelSolver.solve_grid`; a single solve degenerates
-        to ``"bicg-batched"``) — or ``"auto"`` (direct for
-        ``N <= direct_threshold``, batched BiCG above).
+        per shift×RHS), ``"bicg-batched"`` (vectorized block engine) —
+        or ``"auto"`` (direct for ``N <= direct_threshold``, batched
+        BiCG above).
     direct_threshold:
         Crossover size for ``"auto"``.
     bicg_tol / bicg_maxiter:
@@ -150,13 +141,6 @@ class SSConfig:
         ordering from the (shift- and energy-independent) pencil
         sparsity pattern once and reuse it for every factorization of a
         scan.  The small-``N`` dense layout has no symbolic analysis.
-    backend:
-        Array-backend name from :mod:`repro.backends` — ``"numpy"``
-        (default, bit-for-bit the historical full-precision solver),
-        ``"numpy-mixed"`` (complex64 BiCG + complex128 iterative
-        refinement), or ``"cupy"`` when installed.  Selects the
-        arithmetic of the Step-1 hot path only; Steps 2-3 always run in
-        complex128 on the host.
     """
 
     n_int: int = 32
@@ -179,7 +163,6 @@ class SSConfig:
     record_history: bool = True
     keep_step1_solutions: bool = False
     lu_ordering_cache: bool = False
-    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.n_int < 2:
@@ -240,11 +223,6 @@ class SSConfig:
             raise ConfigurationError(
                 f"annulus_margin must be in [0,1), got {self.annulus_margin}"
             )
-        if self.backend not in available_backends():
-            raise ConfigurationError(
-                f"unknown array backend {self.backend!r}; "
-                f"available backends: {sorted(available_backends())}"
-            )
 
     @property
     def subspace_capacity(self) -> int:
@@ -269,9 +247,7 @@ class SSConfig:
         keys, reports, and re-solves all name the strategy that actually
         ran instead of the placeholder.
         """
-        name = resolve_strategy(
-            self.linear_solver, n, self.direct_threshold, self.backend
-        )
+        name = resolve_strategy(self.linear_solver, n, self.direct_threshold)
         if name == self.linear_solver:
             return self
         return replace(self, linear_solver=name)
@@ -314,8 +290,6 @@ class SSResult:
     #: Magnitude below which Hankel singular values are quadrature-
     #: cancellation noise (see :meth:`MomentAccumulator.noise_floor`).
     noise_floor: float = 0.0
-    #: Name of the array backend the Step-1 hot path ran on.
-    backend: str = "numpy"
 
     @property
     def count(self) -> int:
@@ -438,8 +412,6 @@ class SSHankelSolver:
         self.config = config or SSConfig()
         if validate:
             self.blocks.validate_bulk(tol=1e-8)
-        #: The array backend the Step-1 hot path runs on.
-        self.backend = get_backend(self.config.backend)
         self._executor = make_executor(self.config.executor)
         #: Stacked Step-1 solutions of the most recent solve (populated
         #: only when ``config.keep_step1_solutions``); energy scans pass
@@ -465,7 +437,7 @@ class SSHankelSolver:
         """
         cfg = self.config
         times = PhaseTimes()
-        pencil = QuadraticPencil(self.blocks, energy, self.backend)
+        pencil = QuadraticPencil(self.blocks, energy)
         contour = cfg.make_contour()
 
         if v is None:
@@ -520,11 +492,7 @@ class SSHankelSolver:
         times: PhaseTimes,
         solver_kind: str,
     ) -> SSResult:
-        """Step 3 on finished moments: Hankel extraction + filtering.
-
-        Shared by :meth:`solve` (one energy) and :meth:`solve_grid`
-        (one call per energy of a stacked Step-1 run).
-        """
+        """Step 3 on finished moments: Hankel extraction + filtering."""
         cfg = self.config
         with times.phase("extract eigenpairs"):
             try:
@@ -564,172 +532,7 @@ class SSHankelSolver:
             memory=memory,
             linear_solver=solver_kind,
             noise_floor=acc.noise_floor(),
-            backend=cfg.backend,
         )
-
-    def solve_grid(self, energies) -> List[SSResult]:
-        """Solve a whole energy grid with ONE stacked Step-1 call.
-
-        The cross-energy engine (strategy ``"bicg-batched-grid"``):
-        every energy's ``N_int × N_rh`` shifted systems are flattened
-        into one ``(K·N_int, N, N_rh)`` stack advanced by
-        :class:`repro.solvers.batched.CrossEnergyBatch` — three sparse
-        block products per BiCG round for the *entire* (E, k∥-tile)
-        grid, instead of three per energy.  Convergence bookkeeping is
-        per-energy (:func:`repro.solvers.batched.run_grid_bicg`), so
-        each energy's solutions are bit-identical to a cold per-slice
-        ``"bicg-batched"`` solve with a serial executor; Steps 2–3 then
-        run per energy exactly as :meth:`solve` does.
-
-        All energies share the config's deterministic random source
-        block (what each cold per-slice solve would regenerate), so the
-        grid path trades the warm chain for cross-energy batching —
-        ``keep_step1_solutions`` is ignored and ``last_step1`` cleared.
-
-        Returns one :class:`SSResult` per energy, in input order.
-        """
-        import time as _time
-
-        cfg = self.config
-        energies = [float(e) for e in energies]
-        if not energies:
-            return []
-        if len(energies) == 1:
-            return [self.solve(energies[0])]
-
-        contour = cfg.make_contour()
-        pencils = [
-            QuadraticPencil(self.blocks, e, self.backend) for e in energies
-        ]
-        dual_flags = {p.is_dual_symmetric for p in pencils}
-        if len(dual_flags) != 1:
-            # Mixed real/complex energies — no uniform adjoint identity
-            # for the stack; fall back to per-energy solves.
-            return [self.solve(e) for e in energies]
-        use_dual = self._use_dual(pencils[0], contour)
-
-        rng = default_rng(cfg.seed)
-        v = complex_gaussian(rng, (self.blocks.n, cfg.n_rh))
-        rule = ResidualRule(cfg.bicg_tol, cfg.bicg_maxiter)
-
-        if use_dual:
-            pairs = contour.dual_pairs()
-            shifts = np.array([po.z for po, _ in pairs], dtype=COMPLEX_DTYPE)
-        else:
-            points = contour.points()
-            shifts = np.array([pt.z for pt in points], dtype=COMPLEX_DTYPE)
-        n_shifts = int(shifts.shape[0])
-        n_e = len(energies)
-
-        flat_shifts = np.tile(shifts, n_e)
-        flat_energies = np.repeat(
-            np.asarray(energies, dtype=COMPLEX_DTYPE), n_shifts
-        )
-        b = np.broadcast_to(
-            v[None, :, :], (n_e * n_shifts, self.blocks.n, cfg.n_rh)
-        ).copy()
-        precond = (
-            np.concatenate([
-                np.stack([jacobi_preconditioner(p, z) for z in shifts])
-                for p in pencils
-            ])
-            if cfg.jacobi
-            else None
-        )
-        batch = CrossEnergyBatch(
-            self.blocks, flat_energies, flat_shifts,
-            dual_symmetric=pencils[0].is_dual_symmetric,
-            backend=self.backend,
-        )
-        segments = [
-            (k * n_shifts, (k + 1) * n_shifts) for k in range(n_e)
-        ]
-        maxiter = rule.maxiter or max(10 * self.blocks.n, 100)
-
-        t0 = _time.perf_counter()
-        sbatch = batch.solver_view()
-        if self.backend.refine:
-            # Mixed precision: reduced-precision inner solves on the
-            # solver view, complex128 refinement on the full operator.
-            # Refinement convergence is governed by the outer residual,
-            # so the inner sweeps run without the per-energy quorums.
-            def inner(rhs, rhs_d, inner_rule):
-                return run_batched_bicg(
-                    sbatch.apply, sbatch.apply_adjoint, rhs, rhs_d,
-                    rule=inner_rule, maxiter=maxiter, precond=precond,
-                    record_history=cfg.record_history,
-                    backend=self.backend,
-                )
-
-            engine = run_refined_bicg(
-                self.backend, batch.apply, batch.apply_adjoint, inner,
-                b, b if use_dual else None, rule=rule,
-            )
-        else:
-            engine = run_grid_bicg(
-                sbatch.apply, sbatch.apply_adjoint, b,
-                b if use_dual else None,
-                segments=segments,
-                rule=rule,
-                quorum_fraction=cfg.quorum_fraction,
-                maxiter=maxiter,
-                precond=precond,
-                record_history=cfg.record_history,
-                backend=self.backend,
-            )
-        step1_seconds = _time.perf_counter() - t0
-        self.last_step1 = None  # the grid path supersedes warm chaining
-
-        y_stack = np.asarray(self.backend.to_host(engine.solution()))
-        yd_stack = (
-            np.asarray(self.backend.to_host(engine.solution_dual()))
-            if use_dual
-            else None
-        )
-        solver_kind = "bicg-batched-grid"
-        results: List[SSResult] = []
-        for k, (energy, pencil) in enumerate(zip(energies, pencils)):
-            times = PhaseTimes()
-            # The stacked solve is shared work; attribute it evenly.
-            times.add("solve linear equations", step1_seconds / n_e)
-            acc = MomentAccumulator(v, cfg.n_mm)
-            stats: List[PointStats] = []
-            for i in range(n_shifts):
-                gi = k * n_shifts + i
-                iters = int(engine.iterations[gi].sum())
-                worst = float(engine.rel[gi].max())
-                worst_d = float(engine.rel_dual[gi].max()) if use_dual else 0.0
-                reason = "converged"
-                for c in range(cfg.n_rh):
-                    code_reason = engine.reason(gi, c)
-                    if code_reason is not StopReason.CONVERGED:
-                        reason = code_reason.value
-                histories = (
-                    [engine.history_for(gi, c) for c in range(cfg.n_rh)]
-                    if cfg.record_history
-                    else []
-                )
-                if use_dual:
-                    po, pi = pairs[i]
-                    acc.add(po.z, po.weight, y_stack[gi], po.sign)
-                    acc.add(pi.z, pi.weight, yd_stack[gi], pi.sign)
-                    stats.append(
-                        PointStats(po.z, po.circle, iters, worst, worst_d,
-                                   reason, histories)
-                    )
-                else:
-                    pt = points[i]
-                    acc.add(pt.z, pt.weight, y_stack[gi], pt.sign)
-                    stats.append(
-                        PointStats(pt.z, pt.circle, iters, worst, 0.0,
-                                   reason, histories)
-                    )
-            results.append(
-                self._extract_result(
-                    energy, pencil, contour, acc, stats, times, solver_kind
-                )
-            )
-        return results
 
     def _empty_result(
         self, energy: float, point_stats: List["PointStats"],
@@ -753,7 +556,6 @@ class SSHankelSolver:
             memory=self._memory_report(acc, 0),
             linear_solver=solver_kind,
             noise_floor=acc.noise_floor(),
-            backend=self.config.backend,
         )
 
     # ------------------------------------------------------------------
@@ -818,8 +620,7 @@ class SSHankelSolver:
     def _pick_solver(self) -> str:
         cfg = self.config
         return resolve_strategy(
-            cfg.linear_solver, self.blocks.n, cfg.direct_threshold,
-            self.backend,
+            cfg.linear_solver, self.blocks.n, cfg.direct_threshold
         )
 
     def _use_dual(self, pencil: QuadraticPencil, contour: AnnulusContour) -> bool:
@@ -880,7 +681,7 @@ class SSHankelSolver:
 
             def task(pair):
                 po, pi = pair
-                lu = self.backend.sparse_lu(pencil.assemble(po.z), ordering)
+                lu = SparseLUSolver(pencil.assemble(po.z), ordering)
                 y_out = lu.solve(v)
                 y_in = lu.solve_adjoint(v)  # = P(z_in)^{-1} V via duality
                 return po, pi, y_out, y_in
@@ -894,7 +695,7 @@ class SSHankelSolver:
             ordering = self._symbolic_ordering(pencil, points[0].z)
 
             def task(pt):
-                lu = self.backend.sparse_lu(pencil.assemble(pt.z), ordering)
+                lu = SparseLUSolver(pencil.assemble(pt.z), ordering)
                 return pt, lu.solve(v)
 
             for pt, y in self._executor.map(task, points):
@@ -964,9 +765,7 @@ class SSHankelSolver:
         # complex cast here; the bits are the same either way.
         step_pencil = pencil
         if _real_view_applies(self.blocks):
-            step_pencil = QuadraticPencil(
-                self.blocks.as_complex(), pencil.energy, pencil.backend
-            )
+            step_pencil = QuadraticPencil(self.blocks.as_complex(), pencil.energy)
 
         def make_stepper(i: int, c: int) -> BiCGStepper:
             z = shifts[i]
@@ -1168,9 +967,6 @@ class SSHankelSolver:
                 return None
             return QuorumController(n_systems, cfg.quorum_fraction)
 
-        backend = self.backend
-        spencil = pencil.solver_view()
-
         def run_chunk(span):
             lo, hi = span
             zs = shifts[lo:hi]
@@ -1180,47 +976,18 @@ class SSHankelSolver:
                     warm.y0[lo:hi],
                     warm.yd0[lo:hi] if warm.yd0 is not None else None,
                 )
-            chunk_precond = precond[lo:hi] if precond is not None else None
-            if backend.refine:
-                # Mixed precision: the inner engine iterates the
-                # reduced-precision solver view; the outer loop refines
-                # on the complex128 pencil (no quorum — see
-                # repro.solvers.refine).
-                def inner(rhs, rhs_d, inner_rule):
-                    return run_batched_bicg(
-                        lambda x, zs=zs: spencil.apply_batch(zs, x),
-                        lambda x, zs=zs: spencil.apply_adjoint_batch(zs, x),
-                        rhs, rhs_d,
-                        rule=inner_rule,
-                        maxiter=maxiter,
-                        precond=chunk_precond,
-                        record_history=cfg.record_history,
-                        backend=backend,
-                    )
-
-                return run_refined_bicg(
-                    backend,
-                    lambda x, zs=zs: pencil.apply_batch(zs, x),
-                    lambda x, zs=zs: pencil.apply_adjoint_batch(zs, x),
-                    inner,
-                    b[lo:hi],
-                    b[lo:hi] if use_dual else None,
-                    rule=rule,
-                    warm=chunk_warm,
-                )
             return run_batched_bicg(
-                lambda x, zs=zs: spencil.apply_batch(zs, x),
-                lambda x, zs=zs: spencil.apply_adjoint_batch(zs, x),
+                lambda x, zs=zs: pencil.apply_batch(zs, x),
+                lambda x, zs=zs: pencil.apply_adjoint_batch(zs, x),
                 b[lo:hi],
                 b[lo:hi] if use_dual else None,
                 rule=rule,
                 quorum=chunk_quorum((hi - lo) * n_rh),
                 quorum_offset=lo,
                 maxiter=maxiter,
-                precond=chunk_precond,
+                precond=precond[lo:hi] if precond is not None else None,
                 warm=chunk_warm,
                 record_history=cfg.record_history,
-                backend=backend,
             )
 
         engines = self._executor.map(run_chunk, chunks)
@@ -1228,16 +995,9 @@ class SSHankelSolver:
         # Fold solutions into the moments and collect statistics, shift
         # by shift, exactly as the lockstep path does.
         stats: List[PointStats] = []
-        y_stack = np.concatenate(
-            [np.asarray(backend.to_host(e.solution())) for e in engines],
-            axis=0,
-        )
+        y_stack = np.concatenate([e.solution() for e in engines], axis=0)
         yd_stack = (
-            np.concatenate(
-                [np.asarray(backend.to_host(e.solution_dual()))
-                 for e in engines],
-                axis=0,
-            )
+            np.concatenate([e.solution_dual() for e in engines], axis=0)
             if use_dual
             else None
         )
@@ -1300,7 +1060,3 @@ class SSHankelSolver:
 step1_strategy("direct")(SSHankelSolver._step1_direct)
 step1_strategy("bicg")(SSHankelSolver._step1_bicg)
 step1_strategy("bicg-batched")(SSHankelSolver._step1_bicg_batched)
-# The cross-energy grid engine: a *single* solve degenerates to the
-# per-slice batched path; the scan orchestrator routes whole shards
-# through :meth:`SSHankelSolver.solve_grid` when this strategy is named.
-step1_strategy("bicg-batched-grid")(SSHankelSolver._step1_bicg_batched)

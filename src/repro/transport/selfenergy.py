@@ -101,10 +101,6 @@ class SelfEnergyConfig:
         RNG seed for the random source block.
     linear_solver : str, optional
         Step-1 strategy name (``"auto"`` resolves by problem size).
-    backend : str, optional
-        Array-backend name from :mod:`repro.backends` for the Step-1
-        hot path of the underlying SS solves (validated by the derived
-        :class:`repro.ss.solver.SSConfig`).
     """
 
     eta: float = 1e-6
@@ -117,7 +113,6 @@ class SelfEnergyConfig:
     max_grow_rounds: int = 3
     seed: Optional[int] = 7
     linear_solver: str = "auto"
-    backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if not self.eta > 0:
@@ -253,7 +248,6 @@ def _resolve_config(
         quorum_fraction=None,
         seed=cfg.seed,
         record_history=False,
-        backend=cfg.backend,
     )
 
 

@@ -142,6 +142,72 @@ def test_from_dict_rejects_unknown_keys_and_versions():
         CBSJob.from_dict(d)
 
 
+def test_removed_backend_and_grid_options_are_rejected():
+    """The array-backend seam and the cross-energy grid engine are gone:
+    a job file that still names them fails loudly instead of silently
+    running something else."""
+    d = _job().to_dict()
+    d["execution"]["backend"] = "numpy-mixed"
+    with pytest.raises(ConfigurationError, match="backend"):
+        CBSJob.from_dict(d)
+    with pytest.raises(TypeError):
+        ExecutionSpec(backend="numpy")
+    d = _job().to_dict()
+    d["scan"]["linear_solver"] = "bicg-batched-grid"
+    with pytest.raises(ConfigurationError) as exc:
+        CBSJob.from_dict(d)
+    msg = str(exc.value)
+    assert "bicg-batched-grid" in msg
+    for name in ("auto", "bicg", "bicg-batched", "direct"):
+        assert repr(name) in msg
+    with pytest.raises(ConfigurationError, match="bicg-batched-grid"):
+        SSConfig(linear_solver="bicg-batched-grid")
+
+
+#: (job kwargs, job_hash, cache_context, cache_context(k_par=0.5)) of
+#: default-execution jobs; these digests key every saved slice cache and
+#: result store, so they must never drift.
+PINNED_JOBS = [
+    (
+        dict(system={"name": "ladder", "params": {"width": 2}},
+             scan={"window": [-1.0, 1.0, 5], "n_mm": 4, "n_rh": 4,
+                   "seed": 7}),
+        "a82a0847f81ad0447f05d1ea",
+        "a269e5387d6a751d6ff30d8d",
+        "32a1ce1fa0ad2854314428dd",
+    ),
+    (
+        dict(system={"name": "chain", "params": {"hopping": -1.0}},
+             scan={"energies": [0.25, 0.5], "n_mm": 4, "n_rh": 4,
+                   "seed": 3},
+             execution={"mode": "orchestrated", "workers": 2}),
+        "1988c260afe4c3ff13868092",
+        "a41a5baad1716b7ae465fc95",
+        "18aa529900603d7493a3d90e",
+    ),
+    (
+        dict(system={"name": "chain", "params": {"hopping": -1.0}},
+             scan={"window": [-1.5, 1.5, 7]},
+             transport={"eta": 1e-7, "n_cells": 2}),
+        "a931c1d2f686e13d9bc4a642",
+        "9343cc5ebb95dbc73e30ce25",
+        "660c1786d6186c98384a5f90",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs, job_hash, ctx, ctx_k", PINNED_JOBS,
+    ids=["plain", "orchestrated", "transport"],
+)
+def test_job_digests_pinned(kwargs, job_hash, ctx, ctx_k):
+    job = CBSJob(**kwargs)
+    assert job.job_hash() == job_hash
+    assert job.cache_context() == ctx
+    assert job.cache_context(k_par=0.5) == ctx_k
+    assert CBSJob.from_json(job.to_json()).job_hash() == job_hash
+
+
 def test_job_accepts_plain_dicts_for_parts():
     job = CBSJob(
         system={"name": "ladder", "params": {"width": 4}},

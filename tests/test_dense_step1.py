@@ -174,7 +174,7 @@ def test_add_stack_matches_streaming_fold():
 def test_one_point_stack_is_the_streaming_fold_bitwise():
     """``add`` is the one-point case of ``add_stack``; that case must be
     bit-for-bit the scalar streaming loop below (the pinned BiCG
-    eigenvalues in tests/test_backends.py depend on it)."""
+    eigenvalues in tests/test_ss_solver.py depend on it)."""
     rng = default_rng(4)
     v = complex_gaussian(rng, (5, 2))
     y = complex_gaussian(rng, (5, 2))

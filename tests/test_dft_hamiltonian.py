@@ -182,6 +182,22 @@ def test_fermi_estimate_al_metallic(al_small):
     assert est.gap < 0.05  # Al is a metal
 
 
+def test_fermi_estimate_sparse_path_is_deterministic(al_small):
+    """Above ``dense_threshold`` ARPACK starts from a fixed vector, so
+    repeated estimates agree bit for bit (and with the dense path to
+    the eigensolver's tolerance)."""
+    blocks = al_small["blocks"]
+    n_val = al_small["structure"].n_valence_electrons()
+    kw = dict(n_bands=min(blocks.n - 2, max(24, n_val)),
+              dense_threshold=blocks.n - 1)
+    first = estimate_fermi(blocks, n_val, **kw)
+    second = estimate_fermi(blocks, n_val, **kw)
+    assert first.fermi == second.fermi
+    assert (first.homo, first.lumo) == (second.homo, second.lumo)
+    dense = estimate_fermi(blocks, n_val, n_bands=kw["n_bands"])
+    assert first.fermi == pytest.approx(dense.fermi, abs=1e-8)
+
+
 def test_fermi_validation(al_small):
     with pytest.raises(ConfigurationError):
         estimate_fermi(al_small["blocks"], 0)

@@ -133,13 +133,28 @@ def test_occupations_fill_correctly():
 
 # -- SCF --------------------------------------------------------------------------------
 
+#: Converged Γ-point orbital energies of the small-Al SCF below.  ARPACK
+#: starts each iteration from a random vector, so runs agree to ~1e-7.
+SMALL_AL_ORBITAL_ENERGIES = [
+    -0.07628508908978011, 0.027566615548940257, 0.027566615550603205,
+    0.02777832765271441, 0.24514624284202163, 0.2452822980425057,
+    0.2452822980622687, 0.29913301365678285, 0.2991330136836208,
+    0.29922096398618975,
+]
+
+
 @pytest.mark.slow
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
 def test_scf_converges_on_small_al():
     s = bulk_al100()
     g = grid_for_structure(s, spacing_angstrom=0.55)
     scf = SCFSolver(s, g, SCFConfig(max_iterations=30, tol=5e-4, mixing=0.4))
     result = scf.run()
     assert result.converged, f"SCF residuals: {result.residual_history}"
+    # The Γ-point Hamiltonian is real; it is never cast from complex.
+    assert result.orbital_energies == pytest.approx(
+        SMALL_AL_ORBITAL_ENERGIES, abs=1e-6
+    )
     assert result.density.min() >= -1e-12
     assert integrate(g, result.density) == pytest.approx(
         s.n_valence_electrons(), rel=1e-6

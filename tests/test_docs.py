@@ -56,11 +56,6 @@ def test_reference_pages_cover_required_packages():
         "api.rst": ["repro.api"],
         "cbs.rst": ["repro.cbs.scan", "repro.cbs.orchestrator"],
         "solvers.rst": ["repro.solvers.registry", "repro.solvers.batched"],
-        "backends.rst": [
-            "repro.backends.base",
-            "repro.backends.registry",
-            "repro.solvers.refine",
-        ],
         "transport.rst": [
             "repro.transport.selfenergy",
             "repro.transport.decimation",

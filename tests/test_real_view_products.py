@@ -5,8 +5,8 @@ it real and multiply each block by the ``float64`` view of the complex
 iterate stack (:func:`repro.qep.pencil._block_products`).  The contract
 under test: every application, every full solve and every iteration
 count is **bit-equal** (``np.array_equal``) to the same computation on
-the triple's ``as_complex()`` twin; only real sparse blocks under host
-numpy take the real view; the memory report counts the stored triple.
+the triple's ``as_complex()`` twin; only real sparse blocks take the
+real view; the memory report counts the stored triple.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from repro.models import TransverseLadder
 from repro.models.random_blocks import random_bulk_triple
 from repro.qep import pencil as pencil_mod
 from repro.qep.pencil import QuadraticPencil, _real_view_applies
-from repro.solvers import CrossEnergyBatch
 from repro.ss.solver import SSConfig, SSHankelSolver
 
 REAL = random_bulk_triple(40, density=0.2, complex_valued=False,
@@ -68,19 +67,6 @@ def test_apply_vector_and_block_bit_equal(energy):
         assert np.array_equal(out, twin.apply(z, x))
         assert np.array_equal(real.apply_adjoint(z, x),
                               twin.apply_adjoint(z, x))
-
-
-@pytest.mark.parametrize("energies", [[0.35, -0.6], [0.35 + 0.05j, -0.6]],
-                         ids=["dual-symmetric", "non-dual"])
-def test_cross_energy_batch_bit_equal(energies):
-    es = np.repeat(np.asarray(energies, dtype=np.complex128), len(SHIFTS))
-    zs = np.tile(SHIFTS, len(energies))
-    dual = all(np.imag(e) == 0 for e in energies)
-    x = _stack((es.size, N, 3))
-    real = CrossEnergyBatch(REAL, es, zs, dual_symmetric=dual)
-    twin = CrossEnergyBatch(TWIN, es, zs, dual_symmetric=dual)
-    assert np.array_equal(real.apply(x), twin.apply(x))
-    assert np.array_equal(real.apply_adjoint(x), twin.apply_adjoint(x))
 
 
 # ----------------------------------------------------------------------
@@ -164,8 +150,8 @@ def test_step1_routing(monkeypatch, solver):
     seen = []
     routed = pencil_mod._real_view_applies
 
-    def spy(blocks, xp=np):
-        seen.append(routed(blocks, xp))
+    def spy(blocks):
+        seen.append(routed(blocks))
         return seen[-1]
 
     monkeypatch.setattr(pencil_mod, "_real_view_applies", spy)
@@ -183,7 +169,7 @@ def test_step1_routing(monkeypatch, solver):
 # ----------------------------------------------------------------------
 
 
-def test_complex_dense_and_mixed_take_the_complex_path():
+def test_complex_and_dense_take_the_complex_path():
     twisted = resolve_system("al100", {"spacing_angstrom": 0.9, "k_par": 0.7})
     assert twisted.h0.dtype == np.complex128
     assert not _real_view_applies(twisted)
@@ -192,22 +178,12 @@ def test_complex_dense_and_mixed_take_the_complex_path():
     # The solver casts every triple that cannot take the real view.
     assert SSHankelSolver(dense).blocks.h0.dtype == np.complex128
     assert SSHankelSolver(twisted).blocks.h0.dtype == np.complex128
-    # "numpy-mixed" iterates on complex64 twins of the real triple.
-    view = QuadraticPencil(REAL, 0.3, "numpy-mixed").solver_view()
-    assert view.blocks.h0.dtype == np.complex64
-    assert not _real_view_applies(view.blocks, view._xp)
-    es = np.full(len(SHIFTS), 0.3, dtype=np.complex128)
-    grid = CrossEnergyBatch(REAL, es, SHIFTS, dual_symmetric=True,
-                            backend="numpy-mixed").solver_view()
-    assert not _real_view_applies(grid.blocks, grid._xp)
 
 
 def test_real_csr_takes_the_real_path():
     ladder = TransverseLadder(width=4).blocks()
     assert ladder.h0.dtype == np.float64 and _real_view_applies(ladder)
     assert SSHankelSolver(ladder).blocks is ladder
-    # Host numpy only: another array namespace keeps the plain product.
-    assert not _real_view_applies(ladder, xp=object())
 
 
 # ----------------------------------------------------------------------

@@ -416,6 +416,16 @@ def test_http_reject_paths(tmp_path):
         assert status == 400 and err["error"]["code"] == "invalid-job"
         status, err, _ = _request(addr, "PUT", "/v1/metrics")
         assert status == 404 and err["error"]["code"] == "unknown-route"
+        # Options that no longer exist are rejected, not ignored.
+        removed_backend = _job()
+        removed_backend["execution"] = {"backend": "numpy-mixed"}
+        removed_grid = _job()
+        removed_grid["scan"]["linear_solver"] = "bicg-batched-grid"
+        for job in (removed_backend, removed_grid):
+            status, err, _ = _request(
+                addr, "POST", "/v1/jobs", body=json.dumps(job)
+            )
+            assert status == 400 and err["error"]["code"] == "invalid-job"
 
 
 def test_http_busy_sets_retry_after_header(tmp_path, monkeypatch):

@@ -251,6 +251,40 @@ def test_jacobi_option():
     assert match_error(res.eigenvalues, exact) < 1e-8
 
 
+#: (count, total BiCG iterations, repr of every accepted eigenvalue in
+#: result order) of one batched-BiCG solve per model at E = 0.3; the
+#: default double-precision Step 1 must reproduce them bit for bit.
+PINNED_SOLVES = {
+    "chain": (lambda: MonatomicChain(hopping=-1.0).blocks(), 2, 64, [
+        "(-0.15000000000000294-0.9886859966642578j)",
+        "(-0.14999999999999958+0.988685996664266j)",
+    ]),
+    "diatomic": (lambda: DiatomicChain().blocks(), 2, 128, [
+        "(-0.711822951895163-5.5468162615118777e-14j)",
+        "(-1.404843714771519+6.827871601444713e-15j)",
+    ]),
+    "ladder": (lambda: TransverseLadder(width=3).blocks(), 6, 192, [
+        "(0.20355339059327435+0.979063847344988j)",
+        "(-0.503553390593274+0.8639641096839669j)",
+        "(-0.5035533905932731-0.8639641096839693j)",
+        "(-0.15000000000000246-0.9886859966642575j)",
+        "(0.20355339059327704-0.9790638473449962j)",
+        "(-0.14999999999999947+0.9886859966642659j)",
+    ]),
+}
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_SOLVES))
+def test_default_solve_pinned(model):
+    build, count, iters, eigs = PINNED_SOLVES[model]
+    cfg = SSConfig(n_int=16, n_mm=4, n_rh=4, seed=11,
+                   linear_solver="bicg-batched")
+    r = SSHankelSolver(build(), cfg).solve(0.3)
+    assert r.count == count
+    assert r.total_iterations() == iters
+    assert [repr(complex(x)) for x in r.eigenvalues] == eigs
+
+
 # -- result object ----------------------------------------------------------------
 
 def test_result_metadata():
