@@ -135,7 +135,10 @@ class SCFSolver:
 
     def _lowest_states(self, h) -> tuple[np.ndarray, np.ndarray]:
         k = min(self.n_bands, h.shape[0] - 2)
-        vals, vecs = spla.eigsh(h, k=k, which="SA")
+        # A fixed ARPACK start vector: the same Hamiltonian gives the
+        # same states bit for bit (as in ``estimate_fermi``).
+        v0 = np.random.default_rng(h.shape[0]).standard_normal(h.shape[0])
+        vals, vecs = spla.eigsh(h, k=k, which="SA", v0=v0)
         order = np.argsort(vals)
         return vals[order], vecs[:, order]
 

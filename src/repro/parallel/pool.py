@@ -48,7 +48,7 @@ import scipy.sparse as sparse
 
 from repro.errors import ConfigurationError
 from repro.parallel.executor import ProcessExecutor, limit_blas_threads
-from repro.qep.blocks import BlockTriple
+from repro.qep.blocks import BlockTriple, SeparableForm
 
 __all__ = ["PersistentPool", "SharedBlocksRef", "WorkerCrashedError"]
 
@@ -87,7 +87,9 @@ class SharedBlocksRef:
     """Picklable stand-in for a published :class:`BlockTriple`.
 
     A few hundred bytes on the wire regardless of matrix size; workers
-    rebuild zero-copy views onto the named segment.
+    rebuild zero-copy views onto the named segment.  ``separable``
+    locates the factors of the triple's separable form (``None`` when
+    it has none) in the same segment.
     """
 
     segment: str
@@ -95,6 +97,7 @@ class SharedBlocksRef:
     hm: _MatrixSpec
     h0: _MatrixSpec
     hp: _MatrixSpec
+    separable: Optional[Tuple[_MatrixSpec, ...]] = None
 
 
 def _align(offset: int) -> int:
@@ -125,11 +128,14 @@ def _plan_matrix(m, offset: int) -> Tuple[_MatrixSpec, int, List[Tuple[int, np.n
 
 def _publish_blocks(blocks: BlockTriple) -> Tuple[SharedBlocksRef,
                                                   shared_memory.SharedMemory]:
-    """Pack a BlockTriple's arrays into one fresh shared segment."""
+    """Pack a BlockTriple's arrays (separable form included) into one
+    fresh shared segment."""
     offset = 0
     mspecs = []
     copies = []
-    for m in (blocks.hm, blocks.h0, blocks.hp):
+    form = blocks.separable
+    factors = () if form is None else form.factors
+    for m in (blocks.hm, blocks.h0, blocks.hp, *factors):
         spec, offset, mcopies = _plan_matrix(m, offset)
         mspecs.append(spec)
         copies.extend(mcopies)
@@ -143,19 +149,27 @@ def _publish_blocks(blocks: BlockTriple) -> Tuple[SharedBlocksRef,
         segment=shm.name,
         cell_length=float(blocks.cell_length),
         hm=mspecs[0], h0=mspecs[1], hp=mspecs[2],
+        separable=tuple(mspecs[3:]) if form is not None else None,
     )
     return ref, shm
 
 
 def _blocks_digest(blocks: BlockTriple) -> str:
     """Content key of a BlockTriple: cell length plus the dtype, pattern
-    and values of every operator block."""
+    and values of every operator block, then of every factor of its
+    separable form, so a factored triple never shares a plain one's
+    segment."""
     from repro.io.slice_cache import _hash_matrix
 
     h = hashlib.sha256(repr(float(blocks.cell_length)).encode())
     for m in (blocks.hm, blocks.h0, blocks.hp):
         h.update(str(m.dtype).encode())
         _hash_matrix(h, m)
+    if blocks.separable is not None:
+        h.update(b"separable")
+        for m in blocks.separable.factors:
+            h.update(str(m.dtype).encode())
+            _hash_matrix(h, m)
     return h.hexdigest()
 
 
@@ -176,8 +190,11 @@ def _restore_blocks(ref: SharedBlocksRef,
             )
         return arrays["data"]
 
+    form = None
+    if ref.separable is not None:
+        form = SeparableForm(*(build(spec) for spec in ref.separable))
     return BlockTriple(build(ref.hm), build(ref.h0), build(ref.hp),
-                       cell_length=ref.cell_length)
+                       cell_length=ref.cell_length, separable=form)
 
 
 def _swizzle_item(item, publish: Callable[[BlockTriple], SharedBlocksRef]):

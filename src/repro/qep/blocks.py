@@ -16,8 +16,9 @@ validation (Hermiticity pair), on which the paper's dual-system trick
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -62,19 +63,103 @@ def as_dense_complex(m: Matrix) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class SeparableForm:
+    """The assembled blocks split into local CSR plus projector factors.
+
+    With ``C = [C- C0 C+]`` the ``(N, 3P)`` projector pieces (column
+    ``o·P + j`` holds the cell-``o`` piece of projector ``j``) and
+    ``εCᵀ`` its ``(3P, N)`` transpose with the KB energies folded in,
+    the blocks read, for ``[c-; c0; c+] = εCᵀ X``,
+
+    .. math::
+        H_0 X = L_0 X + C [c_-; c_0; c_+], \\qquad
+        H_+ X = L_+ X + C [c_0; c_+; 0], \\qquad
+        H_- X = L_- X + C [0; c_-; c_0] .
+
+    ``lm, l0, lp`` are the stencil plus the local potential.  All five
+    factors share the blocks' dtype and are stored as CSR.
+    """
+
+    lm: sp.csr_matrix
+    l0: sp.csr_matrix
+    lp: sp.csr_matrix
+    c: sp.csr_matrix
+    ect: sp.csr_matrix
+
+    def __post_init__(self) -> None:
+        for name in ("lm", "l0", "lp", "c", "ect"):
+            object.__setattr__(self, name, sp.csr_matrix(getattr(self, name)))
+
+    @property
+    def n_projectors(self) -> int:
+        return self.c.shape[1] // 3
+
+    @property
+    def factors(self) -> tuple:
+        """``(lm, l0, lp, c, ect)``, the fixed order of publication."""
+        return (self.lm, self.l0, self.lp, self.c, self.ect)
+
+    @cached_property
+    def row_operators(self) -> tuple:
+        """``(G0, G+, G-)``, three ``(N, N + 3P)`` CSR operators whose
+        products with ``[X; c]`` are ``H0 X``, ``H+ X`` and ``H- X``:
+
+        .. math::
+            G_0 = [L_0\\ C_-\\ C_0\\ C_+], \\quad
+            G_+ = [L_+\\ 0\\ C_-\\ C_0], \\quad
+            G_- = [L_-\\ C_0\\ C_+\\ 0] .
+
+        ``C0`` meets ``c+`` (``c-``) only through projectors that have
+        a ``+`` (``-``) piece; for the others that coefficient is an
+        exact zero, so their columns are left out of ``G+`` (``G-``).
+        """
+        p = self.n_projectors
+        cm, c0, cp = (self.c[:, i * p:(i + 1) * p] for i in range(3))
+
+        def keep(m, columns):
+            kept = m.copy()
+            kept.data[~columns[kept.indices]] = 0
+            kept.eliminate_zeros()
+            return kept
+
+        zero = sp.csr_matrix(cm.shape, dtype=cm.dtype)
+        return tuple(
+            sp.hstack(row, format="csr")
+            for row in ([self.l0, cm, c0, cp],
+                        [self.lp, zero, cm, keep(c0, cp.getnnz(axis=0) > 0)],
+                        [self.lm, keep(c0, cm.getnnz(axis=0) > 0), cp, zero])
+        )
+
+    @property
+    def product_nnz(self) -> int:
+        """Stored entries one column of a product reads (``εCᵀ`` and
+        the three row operators)."""
+        return self.ect.nnz + sum(m.nnz for m in self.row_operators)
+
+    def astype(self, dtype) -> "SeparableForm":
+        return SeparableForm(*(m.astype(dtype) for m in self.factors))
+
+
+@dataclass(frozen=True)
 class BlockTriple:
     """Container for ``(H-, H0, H+)`` = ``(H_{n,n-1}, H_{n,n}, H_{n,n+1})``.
 
     Blocks may be dense ndarrays or scipy sparse matrices; sparse blocks
     are converted to CSR.  ``cell_length`` is the stacking period ``a``
     (Bohr) used to convert ``λ ↔ k``; it defaults to 1 so model problems
-    can quote ``k`` directly in units of ``1/a``.
+    can quote ``k`` directly in units of ``1/a``.  ``separable`` is the
+    optional :class:`SeparableForm` of sparse blocks (set by the
+    Kohn-Sham builder); it is not compared and must multiply out to the
+    assembled blocks.
     """
 
     hm: Matrix
     h0: Matrix
     hp: Matrix
     cell_length: float = 1.0
+    separable: Optional[SeparableForm] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         hm = _as_operator(self.hm)
@@ -92,6 +177,16 @@ class BlockTriple:
         object.__setattr__(self, "hm", hm)
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "hp", hp)
+        form = self.separable
+        if form is not None:
+            p3 = form.c.shape[1]
+            if (not sp.issparse(h0) or p3 % 3
+                    or any(m.shape != (n, n) for m in form.factors[:3])
+                    or form.c.shape != (n, p3) or form.ect.shape != (p3, n)):
+                raise ConfigurationError(
+                    "separable form must be sparse local (N, N) blocks, an "
+                    f"(N, 3P) C and a (3P, N) εCᵀ for N={n}"
+                )
 
     # -- basic properties ----------------------------------------------------
 
@@ -159,7 +254,8 @@ class BlockTriple:
         return self.bloch_hamiltonian(np.exp(1j * k * self.cell_length))
 
     def as_dense(self) -> "BlockTriple":
-        """Densified copy (for the dense reference solvers)."""
+        """Densified copy (for the dense reference solvers); the
+        separable form is dropped."""
         def dense(m):
             return m.toarray() if sp.issparse(m) else np.array(m)
         return BlockTriple(
@@ -167,13 +263,16 @@ class BlockTriple:
         )
 
     def as_complex(self) -> "BlockTriple":
-        """Copy with complex128 blocks (solvers work in complex arithmetic)."""
+        """Copy with complex128 blocks (solvers work in complex
+        arithmetic); a separable form is cast along."""
         def conv(m):
             if sp.issparse(m):
                 return m.astype(np.complex128)
             return np.asarray(m, dtype=np.complex128)
+        form = self.separable
         return BlockTriple(
-            conv(self.hm), conv(self.h0), conv(self.hp), self.cell_length
+            conv(self.hm), conv(self.h0), conv(self.hp), self.cell_length,
+            None if form is None else form.astype(np.complex128),
         )
 
     # -- λ <-> k conversion -----------------------------------------------------

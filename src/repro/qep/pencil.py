@@ -23,6 +23,13 @@ columns — and views the result back as complex (see
 :func:`_block_products`).  This is bit-equal to the complex product:
 each output column keeps its per-row summation order, and the dropped
 ``0·x`` terms of ``(a + 0i)(x_r + i x_i)`` are exact zeros.
+
+Separable products: a Kohn-Sham triple may carry its
+:class:`~repro.qep.blocks.SeparableForm` (stencil plus local potential
+as CSR, Kleinman-Bylander projectors as rank-``P`` factors).  The block
+products then run through the form (:func:`_separable_products`), which
+reads a fraction of the assembled blocks' stored entries; they agree
+with the assembled products to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -38,10 +45,12 @@ from repro.qep.blocks import BlockTriple
 
 def _real_view_applies(blocks) -> bool:
     """Whether :func:`_block_products` takes the real view: all three
-    blocks sparse ``float64``."""
+    blocks, and the factors of a separable form, sparse ``float64``."""
+    form = blocks.separable
+    factors = () if form is None else form.factors
     return all(
         sp.issparse(m) and m.dtype == REAL_DTYPE
-        for m in (blocks.h0, blocks.hp, blocks.hm)
+        for m in (blocks.h0, blocks.hp, blocks.hm, *factors)
     )
 
 
@@ -51,18 +60,42 @@ def _block_products(blocks, x):
     Real sparse blocks multiply the ``float64`` view of the C-contiguous
     complex128 block (a vector goes in as an ``(N, 2)`` view), so scipy
     runs a real product and never upcasts the block data per call.
-    Every other case — complex or dense blocks — is the plain product.
-    Either way the result is the complex product bit for bit (see the
+    A triple with a :class:`~repro.qep.blocks.SeparableForm` multiplies
+    its local blocks and projector factors instead of the assembled
+    blocks (see :func:`_separable_products`).  Every other case —
+    complex or dense blocks — is the plain product.  The real view
+    gives the complex product of the same factors bit for bit (see the
     module docstring).
     """
-    if not _real_view_applies(blocks):
+    real = _real_view_applies(blocks)
+    form = blocks.separable
+    if not real and form is None:
         return blocks.h0 @ x, blocks.hp @ x, blocks.hm @ x
     xc = np.ascontiguousarray(x, dtype=COMPLEX_DTYPE)
-    xr = (xc if xc.ndim == 2 else xc[:, None]).view(REAL_DTYPE)
-    return tuple(
-        (m @ xr).view(COMPLEX_DTYPE).reshape(xc.shape)
-        for m in (blocks.h0, blocks.hp, blocks.hm)
-    )
+    x2 = xc if xc.ndim == 2 else xc[:, None]
+    if real:
+        def mul(m, v):
+            return (m @ v.view(REAL_DTYPE)).view(COMPLEX_DTYPE)
+    else:
+        def mul(m, v):
+            return m @ v
+    if form is None:
+        out = [mul(m, x2) for m in (blocks.h0, blocks.hp, blocks.hm)]
+    else:
+        out = _separable_products(form, x2, mul)
+    return tuple(p.reshape(xc.shape) for p in out)
+
+
+def _separable_products(form, x, mul):
+    """``[H0 X, H+ X, H- X]`` of a C-contiguous ``(N, K)`` block through
+    the separable form: ``c = εCᵀX`` once, then the three
+    :attr:`~repro.qep.blocks.SeparableForm.row_operators` applied to
+    ``[X; c]``."""
+    n = x.shape[0]
+    s = np.empty((n + form.c.shape[1], x.shape[1]), dtype=COMPLEX_DTYPE)
+    s[:n] = x
+    s[n:] = mul(form.ect, x)
+    return [mul(m, s) for m in form.row_operators]
 
 
 def _stacked_products(blocks, x):

@@ -124,10 +124,11 @@ class SSConfig:
         modes whose filter convergence is slow).
     executor:
         ``None``/``"serial"``, ``"threads"``, or an int worker count —
-        parallelism over (quadrature point × RHS) tasks (``bicg``),
-        over shift-stack shards (``bicg-batched``) or over per-shift
-        factorizations (``direct`` above the dense-layout size; the
-        dense layout is one batched call).
+        parallelism over shift-stack shards (``bicg-batched``) or over
+        per-shift factorizations (``direct`` above the dense-layout
+        size; the dense layout is one batched call).  The lockstep
+        ``bicg`` rounds always run serially, so its quorum stops at the
+        same round whatever the executor.
     seed:
         RNG seed for the random source block ``V``.
     record_history:
@@ -789,10 +790,7 @@ class SSHankelSolver:
             else None
         )
 
-        if isinstance(self._executor, SerialExecutor):
-            self._run_lockstep(steppers, rule, quorum, maxiter)
-        else:
-            self._run_threaded(steppers, rule, quorum, maxiter)
+        self._run_lockstep(steppers, rule, quorum, maxiter)
 
         # Fold solutions into the moments and collect statistics.
         stats: List[PointStats] = []
@@ -869,34 +867,6 @@ class SSHankelSolver:
                 active.clear()
         for st in active.values():
             st.stop(StopReason.MAXITER)
-
-    def _run_threaded(
-        self,
-        steppers: Dict[tuple, BiCGStepper],
-        rule: ResidualRule,
-        quorum: Optional[QuorumController],
-        maxiter: int,
-    ) -> None:
-        """Concurrent execution; the quorum controller is shared across
-        threads and polled inside each solve."""
-        def run(item):
-            key, st = item
-            while st.iterations < maxiter and not st.done:
-                st.step()
-                if st.done:
-                    break
-                if st.meets(rule):
-                    st.stop(StopReason.CONVERGED)
-                    if quorum is not None:
-                        quorum.mark_converged(key)
-                    break
-                if quorum is not None and quorum.should_stop():
-                    st.stop(StopReason.QUORUM)
-                    break
-            if not st.done:
-                st.stop(StopReason.MAXITER)
-
-        self._executor.map(run, list(steppers.items()))
 
     # -- batched BiCG path ---------------------------------------------------
 

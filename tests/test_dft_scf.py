@@ -163,6 +163,18 @@ def test_scf_converges_on_small_al():
     assert result.residual_history[-1] < result.residual_history[0]
 
 
+def test_lowest_states_are_deterministic():
+    """ARPACK starts from a fixed vector: two calls on one Hamiltonian
+    return the same states bit for bit."""
+    s = bulk_al100()
+    scf = SCFSolver(s, grid_for_structure(s, spacing_angstrom=0.9))
+    h = scf._hamiltonian(None)
+    vals_a, vecs_a = scf._lowest_states(h)
+    vals_b, vecs_b = scf._lowest_states(h)
+    assert np.array_equal(vals_a, vals_b)
+    assert np.array_equal(vecs_a, vecs_b)
+
+
 def test_scf_config_validation():
     with pytest.raises(ConfigurationError):
         SCFConfig(mixing=0.0)

@@ -26,7 +26,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
-from repro.api import CBSJob, ExecutionSpec, KParSpec, compute
+from repro.api import CBSJob, ExecutionSpec, KParSpec, compute, resolve_system
 from repro.models.ladder import TransverseLadder
 from repro.parallel.executor import (
     SerialExecutor,
@@ -37,12 +37,14 @@ from repro.parallel.pool import (
     PersistentPool,
     SharedBlocksRef,
     WorkerCrashedError,
+    _blocks_digest,
     _publish_blocks,
     _restore_blocks,
     _restore_item,
     _swizzle_item,
 )
 from repro.qep.blocks import BlockTriple, as_dense_complex
+from repro.qep.pencil import QuadraticPencil
 
 BLOCKS = TransverseLadder(width=3).blocks()
 
@@ -165,6 +167,35 @@ def test_publish_restore_roundtrip(dense):
         shm.unlink()
     with pytest.raises(FileNotFoundError):
         shared_memory.SharedMemory(name=ref.segment)
+
+
+def test_publish_restore_keeps_the_separable_form():
+    blocks = resolve_system("al100", {"spacing_angstrom": 0.9})
+    assert blocks.separable is not None
+    ref, shm = _publish_blocks(blocks)
+    try:
+        restored = _restore_blocks(ref, shm)
+        for a, b in zip(restored.separable.factors, blocks.separable.factors):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a.toarray(), b.toarray())
+        x = np.arange(3 * blocks.n, dtype=complex).reshape(blocks.n, 3)
+        pa = QuadraticPencil(restored, 0.2).apply(1.1j, x)
+        assert np.array_equal(pa, QuadraticPencil(blocks, 0.2).apply(1.1j, x))
+        del restored
+    finally:
+        shm.close()
+        shm.unlink()
+
+
+def test_factored_and_plain_triples_get_distinct_segments(pool):
+    factored = resolve_system("al100", {"spacing_angstrom": 0.9})
+    plain = BlockTriple(factored.hm, factored.h0, factored.hp,
+                        factored.cell_length)
+    assert _blocks_digest(factored) != _blocks_digest(plain)
+    items = [_ShardSpec(b, 1.0) for b in (factored, plain)]
+    traces = pool.map(_h0_trace, items)
+    assert traces[0] == traces[1]
+    assert len(pool._segments) == 2
 
 
 def test_swizzle_replaces_only_block_fields():
@@ -334,6 +365,32 @@ _GRID_BASE = dict(
     ring={"n_int": 16},
     kpar=KParSpec(grid=2),
 )
+
+
+def test_al100_pool_slices_match_serial():
+    """Pool workers restore the separable form from the segment; their
+    slices equal the serial run's bit for bit."""
+    base = dict(
+        system={"name": "al100", "params": {"spacing_angstrom": 0.9}},
+        scan={"window": [0.1, 0.3, 4], "n_mm": 4, "n_rh": 4, "seed": 1,
+              "linear_solver": "bicg-batched"},
+        ring={"n_int": 16},
+    )
+    serial = compute(CBSJob(**base, execution=ExecutionSpec(
+        mode="serial", warm_start=False)))
+    shared = make_executor(("pool", 2))
+    try:
+        pooled = compute(CBSJob(**base, execution=ExecutionSpec(
+            mode="pool", workers=2, warm_start=False)))
+        assert any(ref.separable is not None
+                   for ref in shared._published.values())
+    finally:
+        shared.close()
+    assert len(serial.slices) == len(pooled.slices) == 4
+    assert sum(sl.lambdas().size for sl in serial.slices) > 0
+    for a, b in zip(serial.slices, pooled.slices):
+        assert a.energy == b.energy
+        np.testing.assert_array_equal(a.lambdas(), b.lambdas())
 
 
 def _grid_table(result):

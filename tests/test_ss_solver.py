@@ -242,6 +242,24 @@ def test_threaded_executor_matches_serial():
     assert match_error(threaded.eigenvalues, serial.eigenvalues) < 1e-8
 
 
+def test_lockstep_with_executor_is_deterministic():
+    """Lockstep ``"bicg"`` runs its rounds serially whatever the
+    executor, so the quorum stops every system at the same round."""
+    base = dict(n_int=8, n_mm=4, n_rh=2, seed=3, linear_solver="bicg",
+                quorum_fraction=0.5)
+    blocks, _ = commuting_bulk_triple(40, mu_range=(-20, 20), seed=1)
+
+    def per_point(res):
+        return [(p.iterations, p.reason) for p in res.point_stats]
+
+    serial = SSHankelSolver(blocks, SSConfig(**base)).solve(0.0)
+    assert any(p.reason == "quorum" for p in serial.point_stats)
+    for _ in range(3):
+        res = SSHankelSolver(blocks, SSConfig(executor=2, **base)).solve(0.0)
+        assert per_point(res) == per_point(serial)
+        assert np.array_equal(res.eigenvalues, serial.eigenvalues)
+
+
 def test_jacobi_option():
     lad = TransverseLadder(width=4)
     cfg = SSConfig(n_int=12, n_mm=4, n_rh=4, seed=3, linear_solver="bicg",
