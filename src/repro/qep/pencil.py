@@ -30,12 +30,27 @@ as CSR, Kleinman-Bylander projectors as rank-``P`` factors).  The block
 products then run through the form (:func:`_separable_products`), which
 reads a fraction of the assembled blocks' stored entries; they agree
 with the assembled products to rounding, not bit for bit.
+
+Batched layout: :meth:`QuadraticPencil.apply_batch` takes an
+``(S, N, m)`` stack and returns one.  The batched BiCG engine keeps its
+stacks as views of ``(N, S, m)``-ordered memory, so the stack is read
+as one ``(N, S·m)`` block without a copy (any other order is copied
+into it), the shift enters as a per-column vector, and the result is
+an ``(S, N, m)`` view of a fresh ``(N, S, m)`` array.  The products go
+into :class:`_ProductBuffers` the pencil keeps per thread and reuses
+call after call (:func:`_product_into` runs scipy's own product kernel
+into them), and they double as the scratch of the shift combination.
+The combination keeps the operation order of :meth:`QuadraticPencil.apply`,
+so neither the input's memory order nor the buffers change a bit.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import LinearOperator
 
 from repro.dtypes import COMPLEX_DTYPE, REAL_DTYPE
@@ -54,7 +69,7 @@ def _real_view_applies(blocks) -> bool:
     )
 
 
-def _block_products(blocks, x):
+def _block_products(blocks, x, buffers=None):
     """``(H0 X, H+ X, H- X)`` for a vector ``(N,)`` or column block ``(N, K)``.
 
     Real sparse blocks multiply the ``float64`` view of the C-contiguous
@@ -66,47 +81,91 @@ def _block_products(blocks, x):
     complex or dense blocks — is the plain product.  The real view
     gives the complex product of the same factors bit for bit (see the
     module docstring).
+
+    ``buffers`` (a :class:`_ProductBuffers` for ``K`` columns) receives
+    the products in place of fresh arrays; the batched applications
+    pass their reusable set, in which every case runs through
+    :func:`_product_into`.
     """
     real = _real_view_applies(blocks)
     form = blocks.separable
-    if not real and form is None:
+    if buffers is None and not real and form is None:
         return blocks.h0 @ x, blocks.hp @ x, blocks.hm @ x
     xc = np.ascontiguousarray(x, dtype=COMPLEX_DTYPE)
     x2 = xc if xc.ndim == 2 else xc[:, None]
+    if buffers is None:
+        buffers = _ProductBuffers(blocks, x2.shape[1])
     if real:
-        def mul(m, v):
-            return (m @ v.view(REAL_DTYPE)).view(COMPLEX_DTYPE)
+        def mul(m, v, out):
+            _product_into(m, v.view(REAL_DTYPE), out.view(REAL_DTYPE))
     else:
-        def mul(m, v):
-            return m @ v
+        mul = _product_into
+    out = buffers.products
     if form is None:
-        out = [mul(m, x2) for m in (blocks.h0, blocks.hp, blocks.hm)]
+        for m, o in zip((blocks.h0, blocks.hp, blocks.hm), out):
+            mul(m, x2, o)
     else:
-        out = _separable_products(form, x2, mul)
+        _separable_products(form, x2, mul, buffers)
     return tuple(p.reshape(xc.shape) for p in out)
 
 
-def _separable_products(form, x, mul):
+def _separable_products(form, x, mul, buffers):
     """``[H0 X, H+ X, H- X]`` of a C-contiguous ``(N, K)`` block through
-    the separable form: ``c = εCᵀX`` once, then the three
-    :attr:`~repro.qep.blocks.SeparableForm.row_operators` applied to
-    ``[X; c]``."""
+    the separable form, into ``buffers.products``: ``c = εCᵀX`` once,
+    then the three :attr:`~repro.qep.blocks.SeparableForm.row_operators`
+    applied to ``[X; c]`` (held in ``buffers.stacked``)."""
     n = x.shape[0]
-    s = np.empty((n + form.c.shape[1], x.shape[1]), dtype=COMPLEX_DTYPE)
+    s = buffers.stacked
     s[:n] = x
-    s[n:] = mul(form.ect, x)
-    return [mul(m, s) for m in form.row_operators]
+    mul(form.ect, x, s[n:])
+    for m, o in zip(form.row_operators, buffers.products):
+        mul(m, s, o)
 
 
-def _stacked_products(blocks, x):
-    """The three block products of a stack ``(S, N, m)``, each ONE
-    product over all ``S·m`` columns, returned as ``(S, N, m)`` stacks."""
-    s, n, m = x.shape
-    xm = QuadraticPencil._stack_columns(x)
-    return tuple(
-        QuadraticPencil._unstack_columns(p, s, m)
-        for p in _block_products(blocks, xm)
-    )
+def _product_into(m, v, out):
+    """``out[...] = m @ v`` for C-contiguous 2-D ``v`` and ``out``, bit
+    for bit.
+
+    A sparse block runs the kernel scipy's ``m @ v`` runs
+    (``csr_matvecs``, which adds ``m @ v`` into a zeroed output) with
+    ``out`` as that output, so no result array is allocated; a dense
+    block goes through ``np.matmul(..., out=out)``.
+    """
+    if sp.issparse(m):
+        # The kernel trusts its sizes and writes through ``out.ravel()``,
+        # which would be a copy of a non-contiguous ``out``.
+        if (v.ndim != 2 or v.shape[0] != m.shape[1]
+                or out.shape != (m.shape[0], v.shape[1])
+                or out.dtype != np.result_type(m.dtype, v.dtype)
+                or not (v.flags.c_contiguous and out.flags.c_contiguous)):
+            raise ValueError(
+                f"cannot write a {m.shape} x {v.shape} product into "
+                f"{out.shape} {out.dtype}"
+            )
+        out.fill(0)
+        kernel = getattr(_sparsetools, m.format + "_matvecs")
+        kernel(m.shape[0], m.shape[1], v.shape[1], m.indptr, m.indices,
+               m.data, v.ravel(), out.ravel())
+    else:
+        np.matmul(m, v, out=out)
+
+
+class _ProductBuffers:
+    """Outputs of the three block products of a ``K``-column block, and
+    the ``(N + 3P, K)`` ``[X; c]`` block of a separable form (``None``
+    without one), all complex and C-contiguous."""
+
+    def __init__(self, blocks, k: int) -> None:
+        n = blocks.n
+        self.k = k
+        self.products = [
+            np.empty((n, k), dtype=COMPLEX_DTYPE) for _ in range(3)
+        ]
+        form = blocks.separable
+        self.stacked = (
+            None if form is None
+            else np.empty((n + form.c.shape[1], k), dtype=COMPLEX_DTYPE)
+        )
 
 
 class QuadraticPencil:
@@ -127,6 +186,7 @@ class QuadraticPencil:
         self.energy = complex(energy)
         self._e = COMPLEX_DTYPE.type(self.energy)
         self._e_conj = COMPLEX_DTYPE.type(self.energy.conjugate())
+        self._local = threading.local()
 
     # -- basic properties -----------------------------------------------------
 
@@ -176,19 +236,6 @@ class QuadraticPencil:
 
     # -- batched application ---------------------------------------------------
 
-    @staticmethod
-    def _stack_columns(x):
-        """Reorder a stack ``(S, N, m)`` into one matvec block ``(N, S*m)``."""
-        s, n, m = x.shape
-        return np.moveaxis(x, 0, 1).reshape(n, s * m)
-
-    @staticmethod
-    def _unstack_columns(x, s: int, m: int):
-        """Inverse of :meth:`_stack_columns`."""
-        x = np.asarray(x)
-        n = x.shape[0]
-        return np.moveaxis(x.reshape(n, s, m), 1, 0)
-
     def apply_batch(self, zs: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``P(z_i) @ X_i`` for a whole stack of shifts in one sweep.
 
@@ -205,20 +252,13 @@ class QuadraticPencil:
         pure broadcasting — this is what makes the batched BiCG engine
         one vectorized matvec per iteration instead of ``S·m`` Python
         calls (the paper's middle/top parallel layers collapsed into
-        BLAS-width work).
+        BLAS-width work).  The result is an ``(S, N, m)`` view of
+        ``(N, S, m)``-ordered memory (see :meth:`_combine_batch`).
         """
         zs = np.atleast_1d(np.asarray(zs, dtype=COMPLEX_DTYPE))
-        x = np.asarray(x, dtype=COMPLEX_DTYPE)
-        if x.ndim != 3 or x.shape[0] != zs.shape[0]:
-            raise ConfigurationError(
-                f"need x of shape (S, N, m) with S = {zs.shape[0]}, "
-                f"got {x.shape}"
-            )
         if bool(np.any(zs == 0)):
             raise ConfigurationError("P(z) is undefined at z = 0")
-        h0x, hpx, hmx = _stacked_products(self.blocks, x)
-        z = zs[:, None, None]
-        return self._e * x - h0x - z * hpx - hmx / z
+        return self._combine_batch(self._e, zs, x, adjoint=False)
 
     def apply_adjoint_batch(self, zs: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``P(z_i)^† @ X_i`` over a stack of shifts (see :meth:`apply_batch`).
@@ -232,15 +272,57 @@ class QuadraticPencil:
             raise ConfigurationError("P(z) is undefined at z = 0")
         if self.is_dual_symmetric:
             return self.apply_batch(1.0 / np.conj(zs), x)
+        return self._combine_batch(self._e_conj, np.conj(zs), x, adjoint=True)
+
+    def _combine_batch(self, e, zs, x, adjoint: bool):
+        """``e X - H0 X - z H+ X - H- X / z`` per shift (``H+`` and ``H-``
+        swapped for the explicit adjoint), evaluated in ``(N, S·m)``
+        columns.
+
+        The stack enters the block products as one ``(N, S·m)`` block —
+        a view, no copy, when ``x`` is ``(N, S, m)``-ordered like the
+        batched BiCG stacks — and the shift enters as a per-column
+        vector.  The combination keeps the operation order of
+        :meth:`apply`, writes ``z·H+X`` and ``H-X/z`` into the product
+        outputs, and fills one ``(N, S, m)`` result, so the bits do not
+        depend on the input's memory order.
+        """
         x = np.asarray(x, dtype=COMPLEX_DTYPE)
         if x.ndim != 3 or x.shape[0] != zs.shape[0]:
             raise ConfigurationError(
                 f"need x of shape (S, N, m) with S = {zs.shape[0]}, "
                 f"got {x.shape}"
             )
-        h0x, hpx, hmx = _stacked_products(self.blocks, x)
-        zb = np.conj(zs)[:, None, None]
-        return self._e_conj * x - h0x - zb * hmx - hpx / zb
+        s, n, m = x.shape
+        xm = np.moveaxis(x, 0, 1).reshape(n, s * m)
+        h0x, hpx, hmx = _block_products(
+            self.blocks, xm, self._product_buffers(s * m)
+        )
+        if adjoint:
+            hpx, hmx = hmx, hpx
+        z = np.repeat(zs, m)
+        out = np.empty((n, s, m), dtype=COMPLEX_DTYPE)
+        o = out.reshape(n, s * m)
+        np.multiply(e, xm, out=o)
+        o -= h0x
+        o -= np.multiply(z, hpx, out=hpx)
+        o -= np.divide(hmx, z, out=hmx)
+        return out.transpose(1, 0, 2)
+
+    def _product_buffers(self, k: int) -> _ProductBuffers:
+        """This thread's reusable product buffers for ``k`` columns.
+
+        One set per thread (sharded Step-1 stacks run on executor
+        threads), replaced when the column count changes.  Every Step-1
+        round reuses the same product memory: allocated per call, it
+        would be freed at the end of each round, trimmed back to the OS
+        by the allocator and page-faulted in again on the next (~4,500
+        faults per round on the Al(100) N=512 lead).
+        """
+        buffers = getattr(self._local, "buffers", None)
+        if buffers is None or buffers.k != k:
+            buffers = self._local.buffers = _ProductBuffers(self.blocks, k)
+        return buffers
 
     def as_linear_operator(self, z: complex) -> LinearOperator:
         """A scipy ``LinearOperator`` for ``P(z)`` with adjoint support."""

@@ -14,7 +14,23 @@ batched matvec with ``P`` and one with ``P^†`` (three sparse block
 products each, applied to all ``S·N_rh`` columns at once via
 :meth:`repro.qep.pencil.QuadraticPencil.apply_batch`); the scalar BiCG
 recurrences become broadcast arithmetic on ``(S, N_rh)`` coefficient
-arrays.  Semantics are kept identical to the lockstep stepper path:
+arrays.
+
+Memory order: every stack is an ``(S, N, m)`` view of ``(N, S, m)``
+memory (:func:`_stack`), the column layout of the block products, so
+``apply_batch`` multiplies it as one ``(N, S·m)`` block without a copy
+and an ``(S, 1, m)`` coefficient broadcasts along each row's contiguous
+``S·m`` entries.  The round runs in place: every update is formed in
+one complex scratch stack and added to its iterate, norms go through
+one real scratch stack, and frozen search directions are kept by a
+masked copy, so a round allocates only its two product results.  Each
+operation keeps the operands and their order of the plain broadcast
+expression, and for ``m ≥ 2`` numpy sums over ``N`` one row at a time
+in any memory order, so the iterates equal those of C-ordered stacks
+bit for bit (for ``m = 1`` a C-ordered stack would sum its contiguous
+``N`` axis pairwise instead).
+
+Semantics are kept identical to the lockstep stepper path:
 
 * per-system convergence masking — a converged/broken-down system is
   frozen (its iterates stop changing) while the rest continue;
@@ -80,14 +96,11 @@ class Step1WarmStart:
         return tuple(self.y0.shape) == tuple(shape)
 
 
-def _batch_norm(a):
-    """Column 2-norms of a stack ``(S, N, m)`` → ``(S, m)``."""
-    return np.sqrt(np.sum(np.abs(a) ** 2, axis=1))
-
-
-def _batch_inner(a, b):
-    """Per-system ``⟨a, b⟩ = Σ_n conj(a) b`` → ``(S, m)``."""
-    return np.sum(np.conj(a) * b, axis=1)
+def _stack(s: int, n: int, m: int, dtype=COMPLEX_DTYPE) -> np.ndarray:
+    """A zeroed ``(S, N, m)`` stack in ``(N, S, m)`` memory order: each
+    row's ``S·m`` entries are contiguous, the column layout of the block
+    products (see :meth:`repro.qep.pencil.QuadraticPencil.apply_batch`)."""
+    return np.zeros((n, s, m), dtype=dtype).transpose(1, 0, 2)
 
 
 class BatchedBiCG:
@@ -144,29 +157,35 @@ class BatchedBiCG:
                 f"b_dual shape {bd.shape} != b shape {b.shape}"
             )
 
-        self.norm_b = _batch_norm(b)
-        self.norm_bd = _batch_norm(bd)
+        # Round scratch: one complex and one real stack, reused by every
+        # update, norm and inner product.
+        self._w = _stack(s, n, m)
+        self._wr = _stack(s, n, m, REAL_DTYPE)
+        self.norm_b = self._norm(b)
+        self.norm_bd = self._norm(bd)
         self._scale = np.maximum(np.maximum(self.norm_b, self.norm_bd), 1.0)
         self.record_history = record_history
         self._hist_rel: List[np.ndarray] = []
         self._hist_mask: List[np.ndarray] = []
 
+        self.x = _stack(s, n, m)
+        self.r = _stack(s, n, m)
         if x0 is None:
-            self.x = np.zeros_like(b)
-            self.r = b.copy()
+            np.copyto(self.r, b)
         else:
-            self.x = np.array(x0, dtype=COMPLEX_DTYPE, copy=True)
-            self.r = b - self._apply(self.x)
+            np.copyto(self.x, x0)
+            np.subtract(b, self._apply(self.x), out=self.r)
         self._xd_offset = None
+        self.xd = _stack(s, n, m)
+        self.rt = _stack(s, n, m)
         if xd0 is None:
-            self.xd = np.zeros_like(b)
-            self.rt = bd.copy()
+            np.copyto(self.rt, bd)
         else:
             # Shifted dual system: iterate from x̃ = 0 on the deflated
             # RHS b̃ - A† x̃0 and add x̃0 back in finalize.
-            self._xd_offset = np.array(xd0, dtype=COMPLEX_DTYPE, copy=True)
-            self.xd = np.zeros_like(b)
-            self.rt = bd - self._apply_h(self._xd_offset)
+            self._xd_offset = _stack(s, n, m)
+            np.copyto(self._xd_offset, xd0)
+            np.subtract(bd, self._apply_h(self._xd_offset), out=self.rt)
 
         self._inv_diag = None
         self._inv_diag_conj = None
@@ -178,14 +197,22 @@ class BatchedBiCG:
                 )
             if bool(np.any(diag == 0.0)):
                 raise ValueError("Jacobi preconditioner has zero entries")
-            self._inv_diag = (1.0 / diag)[:, :, None]
-            self._inv_diag_conj = np.conj(self._inv_diag)
+            # ``(S, N, 1)`` views of ``(N, S)`` memory, broadcast along
+            # the stacks' contiguous ``S·m`` axis.
+            inv = _stack(s, n, 1)
+            np.divide(1.0, diag[:, :, None], out=inv)
+            self._inv_diag = inv
+            self._inv_diag_conj = np.conj(inv)
+            self._z = _stack(s, n, m)
+            self._zt = _stack(s, n, m)
 
         z = self._prec(self.r)
         zt = self._prec_h(self.rt)
-        self.p = z.copy()
-        self.pt = zt.copy()
-        self._rho = _batch_inner(self.rt, z)
+        self.p = _stack(s, n, m)
+        self.pt = _stack(s, n, m)
+        np.copyto(self.p, z)
+        np.copyto(self.pt, zt)
+        self._rho = self._inner(self.rt, z)
 
         self.iterations = np.zeros((s, m), dtype=INT_DTYPE)
         self.code = np.full((s, m), ACTIVE, dtype=CODE_DTYPE)
@@ -194,27 +221,39 @@ class BatchedBiCG:
         self.rel = np.zeros((s, m), dtype=REAL_DTYPE)
         self.rel_dual = np.zeros((s, m), dtype=REAL_DTYPE)
         live = ~born
-        np.divide(
-            _batch_norm(self.r), self.norm_b, out=self.rel, where=live
-        )
+        np.divide(self._norm(self.r), self.norm_b, out=self.rel, where=live)
         has_bd = live & (self.norm_bd > 0.0)
         np.divide(
-            _batch_norm(self.rt), self.norm_bd, out=self.rel_dual,
+            self._norm(self.rt), self.norm_bd, out=self.rel_dual,
             where=has_bd,
         )
         self.code[born] = CONVERGED
 
     # -- internals ----------------------------------------------------------
 
+    def _norm(self, a):
+        """Column 2-norms ``(S, m)`` of a stack ``(S, N, m)``."""
+        w = self._wr
+        np.abs(a, out=w)
+        np.square(w, out=w)
+        return np.sqrt(w.sum(axis=1))
+
+    def _inner(self, a, b):
+        """Per-system ``⟨a, b⟩ = Σ_n conj(a) b`` → ``(S, m)``."""
+        w = self._w
+        np.conjugate(a, out=w)
+        np.multiply(w, b, out=w)
+        return w.sum(axis=1)
+
     def _prec(self, v):
-        return self._inv_diag * v if self._inv_diag is not None else v
+        if self._inv_diag is None:
+            return v
+        return np.multiply(self._inv_diag, v, out=self._z)
 
     def _prec_h(self, v):
-        return (
-            self._inv_diag_conj * v
-            if self._inv_diag_conj is not None
-            else v
-        )
+        if self._inv_diag_conj is None:
+            return v
+        return np.multiply(self._inv_diag_conj, v, out=self._zt)
 
     # -- state queries -------------------------------------------------------
 
@@ -250,16 +289,18 @@ class BatchedBiCG:
 
         Frozen systems (converged, quorum-stopped, broken down) are
         carried through untouched: their update coefficients are masked
-        to zero and their search directions are preserved with
-        ``np.where``, so the arithmetic matches running each stepper
-        independently.
+        to zero and their search directions are only overwritten where
+        the round continues, so the arithmetic matches running each
+        stepper independently.  The round runs in place: every update
+        is formed in the scratch stack and added to its iterate, and the
+        products ``q``/``q̃`` are the only stacks it allocates.
         """
         act = self.code == ACTIVE
         if not act.any():
             return
         q = self._apply(self.p)
         qt = self._apply_h(self.pt)
-        sigma = _batch_inner(self.pt, q)
+        sigma = self._inner(self.pt, q)
 
         limit = BREAKDOWN_TOL * self._scale
         broke_pre = act & (
@@ -272,20 +313,21 @@ class BatchedBiCG:
             alpha = np.zeros_like(sigma)
             np.divide(self._rho, sigma, out=alpha, where=upd)
             am = alpha[:, None, :]
-            self.x += am * self.p
-            self.xd += np.conj(am) * self.pt
-            self.r -= am * q
-            self.rt -= np.conj(am) * qt
+            amc = np.conj(am)
+            w = self._w
+            self.x += np.multiply(am, self.p, out=w)
+            self.xd += np.multiply(amc, self.pt, out=w)
+            self.r -= np.multiply(am, q, out=w)
+            self.rt -= np.multiply(amc, qt, out=w)
             self.iterations += upd
 
             live_b = upd & (self.norm_b > 0.0)
             np.divide(
-                _batch_norm(self.r), self.norm_b, out=self.rel,
-                where=live_b,
+                self._norm(self.r), self.norm_b, out=self.rel, where=live_b,
             )
             live_bd = upd & (self.norm_bd > 0.0)
             np.divide(
-                _batch_norm(self.rt), self.norm_bd, out=self.rel_dual,
+                self._norm(self.rt), self.norm_bd, out=self.rel_dual,
                 where=live_bd,
             )
             if self.record_history:
@@ -294,16 +336,19 @@ class BatchedBiCG:
 
             z = self._prec(self.r)
             zt = self._prec_h(self.rt)
-            rho_new = _batch_inner(self.rt, z)
+            rho_new = self._inner(self.rt, z)
             broke_post = upd & (np.abs(rho_new) < limit)
             go = upd & ~broke_post
             beta = np.zeros_like(rho_new)
             np.divide(rho_new, self._rho, out=beta, where=go)
             bm = beta[:, None, :]
             gm = go[:, None, :]
-            self.p = np.where(gm, z + bm * self.p, self.p)
-            self.pt = np.where(gm, zt + np.conj(bm) * self.pt, self.pt)
-            self._rho = np.where(go, rho_new, self._rho)
+            # p ← z + β p on the continuing systems only.
+            np.multiply(bm, self.p, out=w)
+            np.copyto(self.p, np.add(z, w, out=w), where=gm)
+            np.multiply(np.conj(bm), self.pt, out=w)
+            np.copyto(self.pt, np.add(zt, w, out=w), where=gm)
+            np.copyto(self._rho, rho_new, where=go)
             self.code[broke_post] = BREAKDOWN
         self.code[broke_pre] = BREAKDOWN
 

@@ -908,9 +908,12 @@ class SSHankelSolver:
         n_shifts = shifts.shape[0]
         maxiter = rule.maxiter or max(10 * self.blocks.n, 100)
 
-        b = np.broadcast_to(
-            v[None, :, :], (n_shifts, self.blocks.n, n_rh)
-        ).copy()
+        # The RHS stack in the engine's (N, S, m) memory order, so the
+        # engine's residual copy is a straight copy and shard slices
+        # ``b[lo:hi]`` stay views.
+        b = np.empty((self.blocks.n, n_shifts, n_rh), dtype=COMPLEX_DTYPE)
+        b[...] = v[:, None, :]
+        b = b.transpose(1, 0, 2)
         precond = (
             np.stack([jacobi_preconditioner(pencil, z) for z in shifts])
             if cfg.jacobi
