@@ -5,8 +5,9 @@
    accuracy cost;
 3. Hankel vs Rayleigh-Ritz extraction — same eigenvalues, comparable
    cost (extraction is a rounding error next to Step 1 either way);
-4. direct (sparse LU) vs BiCG linear solver — the N-dependent crossover
-   behind the `linear_solver="auto"` policy.
+4. direct (sparse LU) vs batched BiCG — the N-dependent crossover
+   behind the `linear_solver="auto"` policy, between the two engines
+   it picks from.
 """
 
 import numpy as np
@@ -30,9 +31,9 @@ def test_ablation_dual_trick(benchmark):
         out = {}
         for dual in (True, False):
             # n_int=16 pairs with n_mm=4 (see paper_ss_config caution).
-            cfg = paper_ss_config(linear_solver="bicg", use_dual_trick=dual,
-                                  quorum_fraction=None, n_int=16, n_mm=4,
-                                  n_rh=16)
+            cfg = paper_ss_config(linear_solver="bicg-batched",
+                                  use_dual_trick=dual, quorum_fraction=None,
+                                  n_int=16, n_mm=4, n_rh=16)
             with Timer() as t:
                 res = SSHankelSolver(w.blocks, cfg).solve(w.fermi)
             out[dual] = (res, t.elapsed)
@@ -47,8 +48,9 @@ def test_ablation_quorum(benchmark):
     def run():
         out = {}
         for frac in (0.5, None):
-            cfg = paper_ss_config(linear_solver="bicg", quorum_fraction=frac,
-                                  n_int=16, n_mm=4, n_rh=16)
+            cfg = paper_ss_config(linear_solver="bicg-batched",
+                                  quorum_fraction=frac, n_int=16, n_mm=4,
+                                  n_rh=16)
             res = SSHankelSolver(w.blocks, cfg).solve(w.fermi)
             out[frac] = res
         return out
@@ -71,7 +73,8 @@ def test_ablation_extraction(benchmark):
 
 
 def test_ablation_solver_crossover(benchmark):
-    """Direct vs BiCG on growing folded-ladder problems."""
+    """Direct vs batched BiCG (the engine ``"auto"`` picks above its
+    threshold) on growing folded-ladder problems."""
 
     def run():
         rows = []
@@ -106,7 +109,7 @@ def test_ablation_solver_crossover(benchmark):
                 ).solve(-0.5)
             with Timer() as t_b:
                 SSHankelSolver(
-                    big, SSConfig(linear_solver="bicg", **cfg_kwargs)
+                    big, SSConfig(linear_solver="bicg-batched", **cfg_kwargs)
                 ).solve(-0.5)
             rows.append((width * ncell, t_d.elapsed, t_b.elapsed))
         return rows
@@ -163,7 +166,7 @@ def _report():
 
     cross_rows = [
         [n, f"{t_d:.2f}", f"{t_b:.2f}",
-         "direct" if t_d < t_b else "bicg"]
+         "direct" if t_d < t_b else "bicg-batched"]
         for (n, t_d, t_b) in RESULTS["crossover"]
     ]
     for (n, t_d, t_b) in RESULTS["crossover"]:
@@ -180,7 +183,8 @@ def _report():
                     title="Ablation 2 — quorum stopping rule (paper §3.3)"),
         ascii_table(["extraction", "time [s]", "eigenpairs"], extract_rows,
                     title="Ablation 3 — Hankel vs Rayleigh-Ritz extraction"),
-        ascii_table(["N", "direct LU [s]", "BiCG [s]", "winner"], cross_rows,
+        ascii_table(["N", "direct LU [s]", "batched BiCG [s]", "winner"],
+                    cross_rows,
                     title=(
                         "Ablation 4 — linear-solver crossover (auto policy).\n"
                         "Quasi-1D problems keep LU fill trivial, so direct "

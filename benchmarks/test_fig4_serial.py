@@ -69,15 +69,8 @@ def test_fig4_ss_al(benchmark):
         lambda: _run_ss(w), rounds=1, iterations=1)
 
 
-def test_fig4_ss_al_bicg(benchmark):
-    """The paper's matrix-free BiCG configuration, for the record."""
-    w = al100_workload()
-    RESULTS["ss_al_bicg"] = (w,) + benchmark.pedantic(
-        lambda: _run_ss(w, "bicg"), rounds=1, iterations=1)
-
-
 def test_fig4_ss_al_bicg_batched(benchmark):
-    """The vectorized batched-BiCG engine on the same configuration."""
+    """The paper's matrix-free BiCG path (batched engine), same config."""
     w = al100_workload()
     RESULTS["ss_al_batched"] = (w,) + benchmark.pedantic(
         lambda: _run_ss(w, "bicg-batched"), rounds=1, iterations=1)
@@ -174,7 +167,6 @@ def _report():
             parameters={"n": w.info.n, "mode": "measured"},
         ))
 
-    _, _, t_bicg = RESULTS["ss_al_bicg"]
     _, _, t_batched = RESULTS["ss_al_batched"]
     table = ascii_table(
         ["system", "N", "mode", "OBM [s]", "QEP/SS [s]", "speedup",
@@ -183,8 +175,7 @@ def _report():
         rows,
         title=(
             "Figure 4 — serial runtime & memory, OBM vs QEP/SS (bench scale)\n"
-            f"(QEP/SS matrix-free variants on Al(100): lockstep BiCG "
-            f"{t_bicg:.2f} s, batched BiCG {t_batched:.2f} s; "
+            f"(QEP/SS matrix-free BiCG on Al(100): {t_batched:.2f} s; "
             "the sparse-LU strategy is optimal at these N;\n"
             " QEP/SS [MB] counts the Hamiltonian blocks as the solver stores "
             "them: real float64 CSR at Γ, about half their complex cast)"

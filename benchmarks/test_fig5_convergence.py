@@ -23,7 +23,7 @@ RESULTS = {}
 
 
 def _histories(workload):
-    cfg = paper_ss_config(linear_solver="bicg", record_history=True,
+    cfg = paper_ss_config(linear_solver="bicg-batched", record_history=True,
                           quorum_fraction=None)
     solver = SSHankelSolver(workload.blocks, cfg)
     result = solver.solve(workload.fermi)

@@ -35,7 +35,7 @@ def _measured_counts():
     """Measure real per-(z_j, rhs) iteration counts at bench scale, then
     rescale to the paper's matrix size."""
     w = cnt_workload()
-    cfg = paper_ss_config(linear_solver="bicg", record_history=True,
+    cfg = paper_ss_config(linear_solver="bicg-batched", record_history=True,
                           quorum_fraction=None)
     res = SSHankelSolver(w.blocks, cfg).solve(w.fermi)
     counts = np.array(

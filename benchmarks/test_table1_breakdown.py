@@ -31,7 +31,9 @@ def _breakdown(workload, tmp_path):
     save_blocks(path, workload.blocks)
     with Timer() as t_read:
         blocks = load_blocks(path)
-    solver = SSHankelSolver(blocks, paper_ss_config(linear_solver="bicg"))
+    solver = SSHankelSolver(
+        blocks, paper_ss_config(linear_solver="bicg-batched")
+    )
     result = solver.solve(workload.fermi)
     return {
         "read": t_read.elapsed,

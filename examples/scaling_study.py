@@ -47,7 +47,8 @@ def measured_process_scaling(workers_list) -> None:
     energies = np.linspace(fermi.fermi - 0.1, fermi.fermi + 0.1, 8)
     print(f"workload: Al(100) kinetic+local, N = {info.n}, "
           f"8 energies around E_F = {fermi.fermi:+.3f} Ha\n")
-    cfg = SSConfig(n_int=8, n_mm=4, n_rh=4, seed=3, linear_solver="bicg",
+    cfg = SSConfig(n_int=8, n_mm=4, n_rh=4, seed=3,
+                   linear_solver="bicg-batched",
                    bicg_tol=1e-8, quorum_fraction=None, record_history=False)
     rows = []
     t_base = None

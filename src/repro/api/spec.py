@@ -229,8 +229,9 @@ class ScanSpec:
     delta : float, optional
         Relative SVD truncation threshold ``δ``.
     linear_solver : str, optional
-        Step-1 strategy (``"auto"``, ``"direct"``, ``"bicg"``,
-        ``"bicg-batched"``).
+        Step-1 method (``"auto"``, ``"direct"``, ``"bicg-batched"``);
+        ``"bicg"`` is the legacy spelling of ``"bicg-batched"`` and is
+        kept verbatim, so the job's hash does not change.
     direct_threshold : int, optional
         ``"auto"`` crossover size.
     bicg_tol, bicg_maxiter :

@@ -9,11 +9,11 @@ without pickling the operators the way a process pool would.
 
 The executor protocol is intentionally tiny (``map`` plus a ``workers``
 attribute) so the SS solver does not care which backend runs its tasks.
-Strategies choose their own granularity from it: the per-task ``bicg``
-path maps one task per (point, RHS) pair, while ``bicg-batched`` shards
-its stacked shift axis into ``workers`` sub-stacks, each advancing a
+Step-1 methods choose their own granularity from it: ``direct`` maps
+one sparse factorization per quadrature point, while ``bicg-batched``
+shards its stacked shift axis into ``workers`` sub-stacks, each advancing a
 whole block of systems per matvec (with per-shard quorum control, since
-time-sliced shards cannot share the lockstep quorum rule soundly).
+time-sliced shards cannot share one round-by-round quorum soundly).
 """
 
 from __future__ import annotations

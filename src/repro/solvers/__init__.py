@@ -19,11 +19,6 @@ from repro.solvers.batched import (
 )
 from repro.solvers.cg import conjugate_gradient, CGResult
 from repro.solvers.direct import SparseLUSolver, rcm_ordering
-from repro.solvers.registry import (
-    available_strategies,
-    get_step1_strategy,
-    step1_strategy,
-)
 from repro.solvers.stopping import (
     ResidualRule,
     QuorumController,
@@ -41,9 +36,6 @@ __all__ = [
     "CGResult",
     "SparseLUSolver",
     "rcm_ordering",
-    "available_strategies",
-    "get_step1_strategy",
-    "step1_strategy",
     "ResidualRule",
     "QuorumController",
     "StopReason",

@@ -3,10 +3,9 @@
 The paper's Step 1 is ``N_int`` shifted quadratic systems, each with
 ``N_rh`` right-hand sides, and its three parallel layers exist to keep
 that many independent BiCG instances busy (Iwase et al., SC 2017 §3.3).
-Our serial emulation originally ran one Python :class:`BiCGStepper`
-object per (shift, RHS) task — 512 objects at paper defaults — advanced
-one iteration at a time in a Python loop, so interpreter overhead
-dominated.
+One Python :class:`repro.solvers.bicg.BiCGStepper` per (shift, RHS)
+system — 512 at paper defaults — would spend its time in the
+interpreter.
 
 This module advances **every** system simultaneously on stacked
 ``(n_shifts, N, N_rh)`` arrays.  Per iteration there is exactly one
@@ -30,12 +29,14 @@ in any memory order, so the iterates equal those of C-ordered stacks
 bit for bit (for ``m = 1`` a C-ordered stack would sum its contiguous
 ``N`` axis pairwise instead).
 
-Semantics are kept identical to the lockstep stepper path:
+Each system follows the recurrence of its own
+:class:`repro.solvers.bicg.BiCGStepper`, as if all of them were stepped
+one round at a time:
 
 * per-system convergence masking — a converged/broken-down system is
   frozen (its iterates stop changing) while the rest continue;
-* the quorum stopping rule fires on the same round it would have in the
-  lockstep emulation (same converged-count bookkeeping);
+* the quorum stopping rule fires on the round the paper's concurrent
+  run would (one converged-count per round, across all systems);
 * breakdown handling matches :class:`repro.solvers.bicg.BiCGStepper`
   exactly (pre-update ``σ``/``ρ`` checks and the post-update ``ρ`` check,
   with the same tolerance and scale).
@@ -389,13 +390,12 @@ def run_batched_bicg(
     warm: Optional[Step1WarmStart] = None,
     record_history: bool = True,
 ) -> BatchedBiCG:
-    """Drive a :class:`BatchedBiCG` to completion, lockstep-equivalent.
+    """Drive a :class:`BatchedBiCG` to completion.
 
-    The control flow mirrors ``SSHankelSolver._run_lockstep`` round for
-    round: step all active systems, mark the newly converged (and report
-    them to the shared ``quorum`` controller under global keys offset by
-    ``quorum_offset`` — used when the shift stack is sharded over
-    threads), then stop all stragglers once the quorum rule fires.
+    Each round steps all active systems, marks the newly converged (and
+    reports them to the shared ``quorum`` controller under global keys
+    offset by ``quorum_offset`` — used when the shift stack is sharded
+    over threads), then stops all stragglers once the quorum rule fires.
     Systems still active after ``maxiter`` rounds are stopped with
     ``MAXITER``.
     """

@@ -20,14 +20,16 @@ Jacobi (split) preconditioning preserves the property: the recurrence
 applies ``M^{-1}`` in the primal space and ``M^{-†}`` in the shadow
 space, and the shadow update is unchanged.
 
-Two entry points:
+Two entry points, both for one system at a time:
 
-* :class:`BiCGStepper` — one iteration at a time.  The SS solver runs
-  many steppers in **lockstep rounds** to emulate the paper's concurrent
-  middle layer exactly (all quadrature points iterate together; once the
-  quorum rule triggers, stragglers stop where they are).
+* :class:`BiCGStepper` — one iteration per :meth:`~BiCGStepper.step`;
 * :func:`bicg_dual` — the conventional run-to-completion driver built on
-  the stepper, used for standalone solves and threaded execution.
+  the stepper, used for standalone solves (the matrix-free QEP
+  baseline, :mod:`repro.qep.matrixfree`).
+
+The SS solver's Step 1 runs all ``N_int × N_rh`` systems at once on the
+batched engine (:mod:`repro.solvers.batched`), which performs the same
+per-system recurrence; these per-system solvers are its reference.
 """
 
 from __future__ import annotations
@@ -268,8 +270,8 @@ def bicg_dual(
         load-balancing rule: this solve registers itself as
         ``system_index`` on convergence and aborts once more than the
         quorum fraction of the batch has converged.  Intended for
-        *concurrent* execution; the SS solver's serial path uses lockstep
-        :class:`BiCGStepper` rounds instead.
+        *concurrent* execution; the SS solver's Step 1 applies the rule
+        per round inside :func:`repro.solvers.batched.run_batched_bicg`.
     precond:
         Jacobi preconditioner = the diagonal of ``A``.
     x0:
@@ -302,42 +304,3 @@ def bicg_dual(
             break
     return stepper.finalize()
 
-
-def bicg_block(
-    apply_a: Apply,
-    apply_ah: Apply,
-    B: np.ndarray,
-    B_dual: Optional[np.ndarray] = None,
-    *,
-    rule: ResidualRule | None = None,
-    precond: Optional[np.ndarray] = None,
-    record_history: bool = False,
-) -> tuple[np.ndarray, Optional[np.ndarray], List[BiCGResult]]:
-    """Column-by-column BiCG over a block of right-hand sides.
-
-    The paper parallelizes over the ``N_rh`` right-hand sides (top layer)
-    rather than using a block Krylov method; this helper is the serial
-    equivalent — the executor-based parallel path lives in the SS solver.
-
-    Returns ``(Y, Y_dual, results)`` with one :class:`BiCGResult` per
-    column.
-    """
-    B = np.asarray(B, dtype=COMPLEX_DTYPE)
-    if B.ndim == 1:
-        B = B[:, None]
-    n, nrhs = B.shape
-    Y = np.empty((n, nrhs), dtype=COMPLEX_DTYPE)
-    want_dual = B_dual is not None
-    Yd = np.empty((n, nrhs), dtype=COMPLEX_DTYPE) if want_dual else None
-    results: List[BiCGResult] = []
-    for j in range(nrhs):
-        bd = B_dual[:, j] if want_dual else None
-        res = bicg_dual(
-            apply_a, apply_ah, B[:, j], bd,
-            rule=rule, precond=precond, record_history=record_history,
-        )
-        Y[:, j] = res.x
-        if want_dual:
-            Yd[:, j] = res.x_dual
-        results.append(res)
-    return Y, Yd, results

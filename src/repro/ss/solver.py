@@ -11,33 +11,32 @@ and the §3.3 execution structure:
 * **Step 3** — block-Hankel extraction of the eigenpairs, followed by a
   residual/region filter.
 
-Step 1 dispatches through the solver-strategy registry
-(:mod:`repro.solvers.registry`):
+Step 1 runs one of two methods (``SSConfig.linear_solver``):
 
 * ``"direct"`` — LU factorization: for small ``N`` one dense batched
   LU over every shift of the energy, otherwise one sparse LU per shift
   (either way one factorization serves the primal and dual systems);
-* ``"bicg"`` — the paper's matrix-free path, emulated as one Python
-  :class:`BiCGStepper` per (shift, RHS) task advanced in serial
-  **lockstep rounds** (or on a thread pool);
-* ``"bicg-batched"`` — the vectorized engine
-  (:mod:`repro.solvers.batched`): all ``N_int × N_rh`` systems advance
-  together on stacked arrays, one batched matvec per round, with the
-  same convergence/quorum/breakdown semantics as the lockstep path.
-  ``"auto"`` prefers it for matrix-free-scale problems.
+* ``"bicg-batched"`` — the paper's matrix-free BiCG path on the
+  vectorized engine (:mod:`repro.solvers.batched`): all
+  ``N_int × N_rh`` systems advance together on stacked arrays, one
+  batched matvec per round, each system with its own iteration count
+  and stop reason, and the quorum rule stopping stragglers on the
+  round the paper's concurrent run would.
+
+``"auto"`` picks between them by problem size; ``"bicg"`` is the legacy
+spelling of ``"bicg-batched"``.
 
 The mapping onto the paper's three parallel layers: the bottom layer
 (domain-decomposed matvec) corresponds to BLAS/sparse kernels here; the
-middle (quadrature points) and top (right-hand sides) layers are either
-emulated task-by-task (``bicg``) or collapsed into the stacked batch
-dimension (``bicg-batched``), which is how a single Python process gets
-hardware-width parallelism out of them.
+middle (quadrature points) and top (right-hand sides) layers are
+collapsed into the stacked batch dimension, which is how a single
+Python process gets hardware-width parallelism out of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from repro.qep.blocks import BlockTriple
 from repro.qep.pencil import QuadraticPencil, _real_view_applies
 from repro.parallel.executor import SerialExecutor, make_executor
 from repro.solvers.batched import Step1WarmStart, run_batched_bicg
-from repro.solvers.bicg import BiCGResult, BiCGStepper
 from repro.solvers.direct import (
     DENSE_STACK_MAX_N,
     SparseLUSolver,
@@ -55,12 +53,6 @@ from repro.solvers.direct import (
     solve_dense_stack,
 )
 from repro.solvers.preconditioners import jacobi_preconditioner
-from repro.solvers.registry import (
-    available_strategies,
-    get_step1_strategy,
-    resolve_strategy,
-    step1_strategy,
-)
 from repro.solvers.stopping import QuorumController, ResidualRule, StopReason
 from repro.ss.contour import AnnulusContour
 from repro.ss.hankel import build_hankel_pair, extract_eigenpairs
@@ -68,6 +60,34 @@ from repro.ss.moments import MomentAccumulator
 from repro.utils.memory import MemoryReport
 from repro.utils.rng import complex_gaussian, default_rng
 from repro.utils.timing import PhaseTimes
+
+#: The Step-1 methods :meth:`SSHankelSolver.solve` runs.
+STEP1_METHODS = ("direct", "bicg-batched")
+#: Every accepted ``linear_solver`` name.  ``"bicg"`` named a removed
+#: per-system BiCG path; saved jobs and service clients still send it,
+#: and the batched engine reproduces its solves.
+_STEP1_NAMES = ("auto", "bicg", *STEP1_METHODS)
+
+
+def resolve_strategy(name: str, n: int, direct_threshold: int = 6000) -> str:
+    """The Step-1 method a ``linear_solver`` name runs at size ``n``.
+
+    ``"auto"`` picks by problem size: sparse direct factorization up to
+    ``direct_threshold`` unknowns, the batched matrix-free engine above
+    it; ``"bicg"`` maps to ``"bicg-batched"``.  A per-slice config can
+    thus be resolved once and then dispatched repeatedly without
+    re-deciding.
+    """
+    if name == "auto":
+        return "direct" if n <= direct_threshold else "bicg-batched"
+    if name == "bicg":
+        return "bicg-batched"
+    if name not in STEP1_METHODS:
+        raise ConfigurationError(
+            f"unknown Step-1 strategy {name!r}; "
+            f"choose one of {sorted(_STEP1_NAMES)}"
+        )
+    return name
 
 
 @dataclass(frozen=True)
@@ -96,13 +116,13 @@ class SSConfig:
         correctly — the inner-circle dual-node shortcut is disabled and
         all ``2 N_int`` systems are solved explicitly.
     linear_solver:
-        A Step-1 strategy name from the solver registry — ``"direct"``
-        (LU: dense and batched over all shifts for small ``N``, sparse
-        per shift above :data:`repro.solvers.direct.DENSE_STACK_MAX_N`),
-        ``"bicg"`` (the paper's iterative path, one task
-        per shift×RHS), ``"bicg-batched"`` (vectorized block engine) —
-        or ``"auto"`` (direct for ``N <= direct_threshold``, batched
-        BiCG above).
+        The Step-1 method: ``"direct"`` (LU: dense and batched over all
+        shifts for small ``N``, sparse per shift above
+        :data:`repro.solvers.direct.DENSE_STACK_MAX_N`),
+        ``"bicg-batched"`` (the paper's BiCG path on the vectorized
+        engine) or ``"auto"`` (direct for ``N <= direct_threshold``,
+        batched BiCG above).  ``"bicg"`` is accepted as the legacy
+        spelling of ``"bicg-batched"`` and solves identically.
     direct_threshold:
         Crossover size for ``"auto"``.
     bicg_tol / bicg_maxiter:
@@ -124,11 +144,10 @@ class SSConfig:
         modes whose filter convergence is slow).
     executor:
         ``None``/``"serial"``, ``"threads"``, or an int worker count —
-        parallelism over shift-stack shards (``bicg-batched``) or over
+        parallelism over shift-stack shards (``bicg-batched``; each
+        shard applies the quorum rule to its own systems) or over
         per-shift factorizations (``direct`` above the dense-layout
-        size; the dense layout is one batched call).  The lockstep
-        ``bicg`` rounds always run serially, so its quorum stops at the
-        same round whatever the executor.
+        size; the dense layout is one batched call).
     seed:
         RNG seed for the random source block ``V``.
     record_history:
@@ -193,11 +212,10 @@ class SSConfig:
             object.__setattr__(
                 self, "ring_radii", (float(r_in), float(r_out))
             )
-        known = {"auto", *available_strategies()}
-        if self.linear_solver not in known:
+        if self.linear_solver not in _STEP1_NAMES:
             raise ConfigurationError(
                 f"unknown linear_solver {self.linear_solver!r}; "
-                f"choose one of {sorted(known)}"
+                f"choose one of {sorted(_STEP1_NAMES)}"
             )
         if self.direct_threshold < 0:
             raise ConfigurationError(
@@ -241,8 +259,9 @@ class SSConfig:
         return AnnulusContour.from_lambda_min(self.lambda_min, self.n_int)
 
     def resolved(self, n: int) -> "SSConfig":
-        """A per-slice resolvable copy: ``"auto"`` collapsed to the
-        concrete Step-1 strategy for problem size ``n``.
+        """A per-slice resolvable copy: ``"auto"`` (and the legacy
+        ``"bicg"``) collapsed to the Step-1 method run at problem size
+        ``n``.
 
         The scan orchestrator resolves once per slice/shard so cache
         keys, reports, and re-solves all name the strategy that actually
@@ -434,7 +453,7 @@ class SSHankelSolver:
         Shared by the Hankel extraction (:meth:`solve`) and the
         Rayleigh-Ritz variant (:func:`repro.ss.rayleigh_ritz.ss_rayleigh_ritz`).
         ``warm`` optionally carries an adjacent slice's Step-1 solutions
-        as initial guesses (consumed by the batched strategy).
+        as initial guesses (consumed by the batched BiCG method).
         """
         cfg = self.config
         times = PhaseTimes()
@@ -640,8 +659,9 @@ class SSHankelSolver:
         solver_kind: str,
         warm: Optional[Step1WarmStart] = None,
     ) -> List[PointStats]:
-        strategy = get_step1_strategy(solver_kind)
-        return strategy(self, pencil, contour, v, acc, warm)
+        if solver_kind == "direct":
+            return self._step1_direct(pencil, contour, v, acc)
+        return self._step1_bicg_batched(pencil, contour, v, acc, warm)
 
     # -- direct (sparse LU) path -------------------------------------------
 
@@ -661,7 +681,6 @@ class SSHankelSolver:
         contour: AnnulusContour,
         v: np.ndarray,
         acc: MomentAccumulator,
-        warm: Optional[Step1WarmStart] = None,
     ) -> List[PointStats]:
         """Direct Step 1 in one of two factorization layouts.
 
@@ -733,141 +752,6 @@ class SSHankelSolver:
             for pt in solved
         ]
 
-    # -- BiCG path ------------------------------------------------------------
-
-    def _step1_bicg(
-        self,
-        pencil: QuadraticPencil,
-        contour: AnnulusContour,
-        v: np.ndarray,
-        acc: MomentAccumulator,
-        warm: Optional[Step1WarmStart] = None,  # noqa: ARG002 — lockstep
-        # emulation keeps the paper's cold-start semantics; warm starts
-        # are a batched-engine feature.
-    ) -> List[PointStats]:
-        cfg = self.config
-        rule = ResidualRule(cfg.bicg_tol, cfg.bicg_maxiter)
-        use_dual = self._use_dual(pencil, contour)
-        n_rh = v.shape[1]
-
-        if use_dual:
-            pairs = contour.dual_pairs()
-            shifts = [po.z for po, _ in pairs]
-        else:
-            points = contour.points()
-            shifts = [pt.z for pt in points]
-
-        # One task per (shift, rhs column).
-        tasks = [(i, c) for i in range(len(shifts)) for c in range(n_rh)]
-        maxiter = rule.maxiter or max(10 * self.blocks.n, 100)
-        # Each system applies P(z) to one vector, where the real view
-        # loses to a complex product (a width-2 real product costs ~2x a
-        # complex matvec at N=512), so real blocks iterate on their
-        # complex cast here; the bits are the same either way.
-        step_pencil = pencil
-        if _real_view_applies(self.blocks):
-            step_pencil = QuadraticPencil(self.blocks.as_complex(), pencil.energy)
-
-        def make_stepper(i: int, c: int) -> BiCGStepper:
-            z = shifts[i]
-            precond = jacobi_preconditioner(pencil, z) if cfg.jacobi else None
-            return BiCGStepper(
-                lambda x, z=z: step_pencil.apply(z, x),
-                lambda x, z=z: step_pencil.apply_adjoint(z, x),
-                v[:, c],
-                v[:, c] if use_dual else None,
-                precond=precond,
-                record_history=cfg.record_history,
-            )
-
-        steppers: Dict[tuple, BiCGStepper] = {
-            (i, c): make_stepper(i, c) for (i, c) in tasks
-        }
-
-        quorum = (
-            QuorumController(len(tasks), cfg.quorum_fraction)
-            if cfg.quorum_fraction is not None and len(tasks) > 1
-            else None
-        )
-
-        self._run_lockstep(steppers, rule, quorum, maxiter)
-
-        # Fold solutions into the moments and collect statistics.
-        stats: List[PointStats] = []
-        for i, z in enumerate(shifts):
-            y = np.empty((self.blocks.n, n_rh), dtype=COMPLEX_DTYPE)
-            yd = np.empty_like(y) if use_dual else None
-            iters = 0
-            worst = 0.0
-            worst_d = 0.0
-            reason = "converged"
-            histories: List[List[float]] = []
-            for c in range(n_rh):
-                st = steppers[(i, c)]
-                y[:, c] = st.x
-                if use_dual:
-                    yd[:, c] = st.xd
-                iters += st.iterations
-                worst = max(worst, st.rel)
-                worst_d = max(worst_d, st.rel_dual)
-                if st.reason not in (StopReason.CONVERGED, None):
-                    reason = st.reason.value
-                if cfg.record_history:
-                    histories.append(st.history)
-            if use_dual:
-                po, pi = pairs[i]
-                acc.add(po.z, po.weight, y, po.sign)
-                acc.add(pi.z, pi.weight, yd, pi.sign)
-                stats.append(
-                    PointStats(po.z, po.circle, iters, worst, worst_d,
-                               reason, histories)
-                )
-            else:
-                pt = points[i]
-                acc.add(pt.z, pt.weight, y, pt.sign)
-                stats.append(
-                    PointStats(pt.z, pt.circle, iters, worst, 0.0,
-                               reason, histories)
-                )
-        return stats
-
-    def _run_lockstep(
-        self,
-        steppers: Dict[tuple, BiCGStepper],
-        rule: ResidualRule,
-        quorum: Optional[QuorumController],
-        maxiter: int,
-    ) -> None:
-        """Serial emulation of the concurrent middle layer.
-
-        All systems advance one iteration per round — exactly the
-        behaviour of ``N_int × N_rh`` simultaneous BiCG instances — so
-        the quorum rule stops stragglers at the same iteration count a
-        parallel run would.
-        """
-        active = dict(steppers)
-        for _round in range(maxiter):
-            if not active:
-                break
-            finished = []
-            for key, st in active.items():
-                st.step()
-                if st.done:  # breakdown
-                    finished.append(key)
-                elif st.meets(rule):
-                    st.stop(StopReason.CONVERGED)
-                    if quorum is not None:
-                        quorum.mark_converged(key)
-                    finished.append(key)
-            for key in finished:
-                active.pop(key)
-            if quorum is not None and active and quorum.should_stop():
-                for st in active.values():
-                    st.stop(StopReason.QUORUM)
-                active.clear()
-        for st in active.values():
-            st.stop(StopReason.MAXITER)
-
     # -- batched BiCG path ---------------------------------------------------
 
     def _step1_bicg_batched(
@@ -887,7 +771,8 @@ class SSHankelSolver:
         executor shards the shift axis into per-thread sub-stacks.
 
         Quorum scope: with a single stack the controller spans all
-        systems (exact lockstep semantics).  Sharded chunks advance at
+        systems, so it fires on the round the paper's concurrent run
+        would.  Sharded chunks advance at
         the scheduler's mercy, so a *global* controller would let a
         fast-scheduled chunk converge fully and kill barely-started
         chunks — each chunk therefore gets its own controller over its
@@ -966,7 +851,7 @@ class SSHankelSolver:
         engines = self._executor.map(run_chunk, chunks)
 
         # Fold solutions into the moments and collect statistics, shift
-        # by shift, exactly as the lockstep path does.
+        # by shift.
         stats: List[PointStats] = []
         y_stack = np.concatenate([e.solution() for e in engines], axis=0)
         yd_stack = (
@@ -1027,9 +912,3 @@ class SSHankelSolver:
         rep.add("BiCG work vectors", 8 * self.blocks.n * 16)
         return rep
 
-
-# The built-in Step-1 strategies.  External code can add more via
-# ``repro.solvers.registry.step1_strategy`` (same callable contract).
-step1_strategy("direct")(SSHankelSolver._step1_direct)
-step1_strategy("bicg")(SSHankelSolver._step1_bicg)
-step1_strategy("bicg-batched")(SSHankelSolver._step1_bicg_batched)

@@ -208,6 +208,36 @@ def test_job_digests_pinned(kwargs, job_hash, ctx, ctx_k):
     assert CBSJob.from_json(job.to_json()).job_hash() == job_hash
 
 
+
+def test_legacy_bicg_name_runs_batched():
+    """``"bicg"`` is the legacy spelling of ``"bicg-batched"``: it solves
+    bit for bit like it, and a job naming it keeps its digests."""
+    blocks = TransverseLadder(width=3).blocks()
+    common = dict(n_int=16, n_mm=4, n_rh=4, seed=11)
+    legacy, batched = (
+        SSHankelSolver(blocks, SSConfig(linear_solver=name, **common))
+        .solve(0.3)
+        for name in ("bicg", "bicg-batched")
+    )
+    assert legacy.linear_solver == batched.linear_solver == "bicg-batched"
+    assert np.array_equal(legacy.eigenvalues, batched.eigenvalues)
+    assert np.array_equal(legacy.residuals, batched.residuals)
+    assert [(p.iterations, p.reason) for p in legacy.point_stats] == [
+        (p.iterations, p.reason) for p in batched.point_stats
+    ]
+    assert SSConfig(linear_solver="bicg").resolved(10).linear_solver == (
+        "bicg-batched"
+    )
+    job = CBSJob(
+        system={"name": "ladder", "params": {"width": 2}},
+        scan={"window": [-1.0, 1.0, 5], "n_mm": 4, "n_rh": 4, "seed": 7,
+              "linear_solver": "bicg"},
+    )
+    assert job.scan.linear_solver == "bicg"
+    assert job.job_hash() == "9f943600bfcb10dcd3b2fa44"
+    assert job.cache_context() == "90cbe129a01e97c5c787149c"
+    assert job.cache_context(k_par=0.5) == "8485f6adb513c44436a31452"
+
 def test_job_accepts_plain_dicts_for_parts():
     job = CBSJob(
         system={"name": "ladder", "params": {"width": 4}},

@@ -85,7 +85,6 @@ LEGACY_IMPORTS = [
     ("repro.dft.builders", "bulk_al100"),
     ("repro.parallel.executor", "make_executor"),
     ("repro.parallel.executor", "chunk_spans"),
-    ("repro.solvers.registry", "step1_strategy"),
     ("repro.cbs.orchestrator", "ProgressFn"),
     ("repro.cbs.orchestrator", "CancelFn"),
     ("repro.transport", "TwoProbeDevice"),

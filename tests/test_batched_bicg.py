@@ -1,87 +1,72 @@
-"""Parity of the batched Step-1 engine against the lockstep path.
+"""The batched Step-1 engine against independent references.
 
-The batched engine (`repro.solvers.batched`) must be semantically
-bit-compatible with the per-task lockstep emulation: same iteration
-counts, same stop reasons, same quorum behaviour, and eigenvalues that
-agree to tight tolerance on every model class the lockstep path is
-validated on.
+SS solves on the ``"bicg-batched"`` path are checked against the dense
+linearization (:class:`DenseQEPBaseline`), analytic spectra and the
+``"direct"`` LU path.  At engine level, :func:`run_batched_bicg` is
+checked system by system against one :class:`BiCGStepper` per system,
+all stepped one round at a time with one shared quorum controller: same
+iterations, same stop reasons, same quorum round.
 """
 
 import numpy as np
 import pytest
 
+from repro.baselines.dense_qep import DenseQEPBaseline
 from repro.models.chain import MonatomicChain
 from repro.models.ladder import TransverseLadder
 from repro.models.random_blocks import commuting_bulk_triple, random_bulk_triple
 from repro.qep.pencil import QuadraticPencil
 from repro.solvers.batched import BatchedBiCG, Step1WarmStart, run_batched_bicg
-from repro.solvers.bicg import bicg_dual
-from repro.solvers.registry import available_strategies, get_step1_strategy
-from repro.solvers.stopping import ResidualRule, StopReason
+from repro.solvers.bicg import BiCGStepper, bicg_dual
+from repro.solvers.stopping import QuorumController, ResidualRule, StopReason
 from repro.ss.solver import SSConfig, SSHankelSolver
+from repro.utils.rng import complex_gaussian, default_rng
 
 from tests.conftest import match_error
+from tests.test_ss_solver import ladder_reference
 
 
-def _solve_both(blocks, energy, **cfg_kwargs):
-    lock = SSHankelSolver(
-        blocks, SSConfig(linear_solver="bicg", **cfg_kwargs)
-    ).solve(energy)
-    bat = SSHankelSolver(
+def _batched(blocks, energy, **cfg_kwargs):
+    return SSHankelSolver(
         blocks, SSConfig(linear_solver="bicg-batched", **cfg_kwargs)
     ).solve(energy)
-    return lock, bat
 
 
-def _assert_parity(lock, bat, tol=1e-8, quorum=False):
-    """Semantic parity: identical results and identical iteration
-    bookkeeping, modulo floating-point ties.
-
-    The two paths accumulate inner products in different orders (BLAS
-    block products vs per-vector calls), so residuals agree only to
-    roundoff; a system sitting exactly on the tolerance edge may then
-    converge one round earlier/later.  Without the quorum rule that
-    cannot change iteration counts (the system itself stops at the same
-    round up to the tie); with it, one early converger can trip the
-    quorum a round sooner for every straggler, so quorum configs get a
-    small iteration-drift allowance instead of exact equality.
-    """
-    assert bat.count == lock.count
-    if lock.count:
-        assert match_error(bat.eigenvalues, lock.eigenvalues) < tol
-        assert match_error(lock.eigenvalues, bat.eigenvalues) < tol
-    if quorum:
-        drift = abs(bat.total_iterations() - lock.total_iterations())
-        assert drift <= max(2, 0.05 * lock.total_iterations())
-    else:
-        assert bat.total_iterations() == lock.total_iterations()
-    for pl, pb in zip(lock.point_stats, bat.point_stats):
-        assert pl.z == pb.z
-        if not quorum:
-            assert pl.iterations == pb.iterations
-        if pl.reason != pb.reason:
-            # Converged vs breakdown-after-convergence is a label tie:
-            # when the residual cancels to ~0 exactly, the next ρ can
-            # underflow and either label is correct.  With the quorum
-            # rule, converged vs quorum-stopped-one-round-short is the
-            # same kind of tie.  Anything else is a real divergence.
-            allowed = {"converged", "breakdown"}
-            if quorum:
-                allowed.add("quorum")
-            assert {pl.reason, pb.reason} <= allowed
-            assert max(pl.final_residual, pb.final_residual) < 1e-8
+def _assert_same_set(res, expected, tol=1e-8):
+    """Same accepted count, and every eigenvalue matched both ways."""
+    assert res.count == len(expected) > 0
+    assert match_error(res.eigenvalues, expected) < tol
+    assert match_error(expected, res.eigenvalues) < tol
 
 
-# -- registry ------------------------------------------------------------------
-
-
-def test_registry_contains_builtin_strategies():
-    names = available_strategies()
-    assert {"direct", "bicg", "bicg-batched"} <= set(names)
-    for name in ("direct", "bicg", "bicg-batched"):
-        assert callable(get_step1_strategy(name))
-    with pytest.raises(KeyError):
-        get_step1_strategy("no-such-strategy")
+def _stepper_rounds(steppers, rule, quorum, maxiter):
+    """Reference for :func:`run_batched_bicg`: one :class:`BiCGStepper`
+    per system, all stepped one round at a time.  Within a round each
+    system steps and reports its convergence to ``quorum``; after the
+    round the stragglers stop once the quorum fires.  Returns that
+    round (``None`` if it never fired)."""
+    active = dict(steppers)
+    fired = None
+    for rnd in range(1, maxiter + 1):
+        if not active:
+            break
+        for key, st in list(active.items()):
+            st.step()
+            if st.done:  # breakdown (or born converged)
+                del active[key]
+            elif st.meets(rule):
+                st.stop(StopReason.CONVERGED)
+                if quorum is not None:
+                    quorum.mark_converged(key)
+                del active[key]
+        if quorum is not None and active and quorum.should_stop():
+            for st in active.values():
+                st.stop(StopReason.QUORUM)
+            active.clear()
+            fired = rnd
+    for st in active.values():
+        st.stop(StopReason.MAXITER)
+    return fired
 
 
 def test_auto_prefers_batched_above_threshold():
@@ -93,54 +78,49 @@ def test_auto_prefers_batched_above_threshold():
     assert SSHankelSolver(lad.blocks(), cfg)._pick_solver() == "direct"
 
 
-# -- model parity --------------------------------------------------------------
+# -- SS solves against independent references ----------------------------------
 
 
 @pytest.mark.parametrize("energy", [-0.5, 0.7])
 def test_chain_parity(energy):
     chain = MonatomicChain(hopping=-1.0)
-    lock, bat = _solve_both(
-        chain.blocks(), energy,
-        n_int=16, n_mm=2, n_rh=2, seed=5, bicg_tol=1e-12,
-    )
-    _assert_parity(lock, bat, quorum=True)
+    bat = _batched(chain.blocks(), energy,
+                   n_int=16, n_mm=2, n_rh=2, seed=5, bicg_tol=1e-12)
+    _assert_same_set(bat, DenseQEPBaseline(chain.blocks()).solve(energy)
+                     .eigenvalues)
     assert match_error(bat.eigenvalues, chain.analytic_lambdas(energy)) < 1e-8
 
 
 @pytest.mark.parametrize("energy", [-1.2, -0.5, 0.8])
 def test_ladder_parity(energy):
     lad = TransverseLadder(width=4)
-    lock, bat = _solve_both(
-        lad.blocks(), energy,
-        n_int=16, n_mm=4, n_rh=4, seed=3, bicg_tol=1e-12,
-    )
-    _assert_parity(lock, bat, quorum=True)
+    bat = _batched(lad.blocks(), energy,
+                   n_int=16, n_mm=4, n_rh=4, seed=3, bicg_tol=1e-12)
+    _assert_same_set(bat, ladder_reference(lad, energy))
 
 
 def test_random_blocks_parity():
     blocks, analytic = commuting_bulk_triple(10, seed=8)
-    lock, bat = _solve_both(
-        blocks, 0.1,
-        n_int=32, n_mm=6, n_rh=6, seed=9, bicg_tol=1e-12,
-    )
-    _assert_parity(lock, bat, tol=1e-6, quorum=True)
+    bat = _batched(blocks, 0.1,
+                   n_int=32, n_mm=6, n_rh=6, seed=9, bicg_tol=1e-12)
     exact = analytic(0.1)
     inside = exact[(np.abs(exact) > 0.5) & (np.abs(exact) < 2.0)]
-    assert bat.count == inside.size
-    assert match_error(bat.eigenvalues, inside) < 1e-6
+    _assert_same_set(bat, inside, tol=1e-6)
 
 
 def test_random_sparse_straddling_parity():
-    """A contour-straddling triple: both paths must reject unconverged
-    pairs identically (residual filter), not just agree when healthy."""
+    """A contour-straddling triple: the residual filter must reject the
+    unconverged pairs the way it does for the LU Step 1, not just agree
+    when healthy."""
     blocks = random_bulk_triple(30, coupling_scale=0.6, seed=10, sparse=True)
-    lock, bat = _solve_both(
-        blocks, 0.05,
-        n_int=8, n_mm=4, n_rh=4, seed=3, bicg_tol=1e-12,
-    )
-    assert bat.count == lock.count
-    if lock.count:
-        assert match_error(bat.eigenvalues, lock.eigenvalues) < 1e-6
+    common = dict(n_int=8, n_mm=4, n_rh=4, seed=3, bicg_tol=1e-12)
+    bat = _batched(blocks, 0.05, **common)
+    direct = SSHankelSolver(
+        blocks, SSConfig(linear_solver="direct", **common)
+    ).solve(0.05)
+    assert bat.count == direct.count
+    if direct.count:
+        assert match_error(bat.eigenvalues, direct.eigenvalues) < 1e-6
 
 
 # -- option matrix: quorum × jacobi -------------------------------------------
@@ -150,35 +130,47 @@ def test_random_sparse_straddling_parity():
 @pytest.mark.parametrize("jacobi", [False, True])
 def test_quorum_jacobi_matrix(quorum, jacobi):
     lad = TransverseLadder(width=4)
-    lock, bat = _solve_both(
-        lad.blocks(), -0.5,
-        n_int=12, n_mm=4, n_rh=4, seed=3, bicg_tol=1e-12,
-        quorum_fraction=quorum, jacobi=jacobi,
-    )
-    _assert_parity(lock, bat, quorum=quorum is not None)
+    bat = _batched(lad.blocks(), -0.5,
+                   n_int=12, n_mm=4, n_rh=4, seed=3, bicg_tol=1e-12,
+                   quorum_fraction=quorum, jacobi=jacobi)
+    _assert_same_set(bat, ladder_reference(lad, -0.5))
 
 
 def test_no_dual_trick_parity():
     lad = TransverseLadder(width=4)
-    lock, bat = _solve_both(
-        lad.blocks(), -0.5,
-        n_int=12, n_mm=4, n_rh=4, seed=3, bicg_tol=1e-12,
-        use_dual_trick=False,
-    )
-    _assert_parity(lock, bat, quorum=True)
+    bat = _batched(lad.blocks(), -0.5,
+                   n_int=12, n_mm=4, n_rh=4, seed=3, bicg_tol=1e-12,
+                   use_dual_trick=False)
+    _assert_same_set(bat, ladder_reference(lad, -0.5))
 
 
 def test_histories_match_lockstep():
+    """Per-system residual histories of an SS solve equal those of one
+    :class:`BiCGStepper` per (shift, RHS) system stepped in rounds."""
     lad = TransverseLadder(width=4)
-    lock, bat = _solve_both(
-        lad.blocks(), -0.5,
-        n_int=8, n_mm=4, n_rh=2, seed=3, record_history=True,
-    )
-    for pl, pb in zip(lock.point_stats, bat.point_stats):
-        assert len(pl.histories) == len(pb.histories)
-        for hl, hb in zip(pl.histories, pb.histories):
-            assert len(hl) == len(hb)
-            assert np.allclose(hl, hb, rtol=1e-6, atol=1e-12)
+    cfg = SSConfig(n_int=8, n_mm=4, n_rh=2, seed=3, record_history=True,
+                   linear_solver="bicg-batched")
+    res = SSHankelSolver(lad.blocks(), cfg).solve(-0.5)
+    pencil = QuadraticPencil(lad.blocks(), -0.5)
+    v = complex_gaussian(default_rng(cfg.seed), (pencil.n, cfg.n_rh))
+    zs = [po.z for po, _ in cfg.make_contour().dual_pairs()]
+    steppers = {
+        (i, c): BiCGStepper(lambda x, z=z: pencil.apply(z, x),
+                            lambda x, z=z: pencil.apply_adjoint(z, x),
+                            v[:, c], v[:, c])
+        for i, z in enumerate(zs) for c in range(cfg.n_rh)
+    }
+    _stepper_rounds(steppers, ResidualRule(cfg.bicg_tol),
+                    QuorumController(len(steppers), cfg.quorum_fraction),
+                    maxiter=100)
+    assert [p.z for p in res.point_stats] == zs
+    for i, p in enumerate(res.point_stats):
+        refs = [steppers[i, c] for c in range(cfg.n_rh)]
+        assert p.iterations == sum(st.iterations for st in refs)
+        assert len(p.histories) == len(refs)
+        for h, st in zip(p.histories, refs):
+            assert len(h) == len(st.history)
+            assert np.allclose(h, st.history, rtol=1e-6, atol=1e-12)
 
 
 def test_threaded_shards_with_quorum_keep_results():
@@ -242,6 +234,63 @@ def test_engine_matches_per_system_bicg():
                                        rtol=1e-8, atol=1e-10)
             np.testing.assert_allclose(eng.solution_dual()[i, :, c],
                                        ref.x_dual, rtol=1e-8, atol=1e-10)
+
+
+
+def _quorum_problem(kind):
+    """``(b, apply_batch, apply_adjoint_batch, per_system)`` where
+    ``per_system(i)`` gives system ``i``'s own ``(A, A^†)`` matvecs."""
+    if kind == "random":
+        mats, b, ab, ahb = _random_stack_problem(5)
+        return b, ab, ahb, lambda i: (mats[i], mats[i].conj().T)
+    # Each RHS column lies in the span of k eigenvectors of the (normal,
+    # commuting) pencil, so BiCG converges sharply at round k: 4 and 8
+    # for the first two columns, so the quorum fires at round 8 and
+    # stops the third column (all 40 modes) far from converged.
+    blocks, _ = commuting_bulk_triple(40, mu_range=(-20, 20), seed=3)
+    pencil = QuadraticPencil(blocks, 0.0)
+    zs = np.array([po.z for po, _ in
+                   SSConfig(n_int=8).make_contour().dual_pairs()])
+    modes = np.linalg.eigh(blocks.h0)[1]
+    rng = np.random.default_rng(3)
+    v = np.stack([
+        modes[:, :k] @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+        for k in (4, 8, 40)
+    ], axis=1)
+    b = np.repeat(v[None], zs.size, axis=0)
+    return (
+        b,
+        lambda x: pencil.apply_batch(zs, x),
+        lambda x: pencil.apply_adjoint_batch(zs, x),
+        lambda i: (lambda x: pencil.apply(zs[i], x),
+                   lambda x: pencil.apply_adjoint(zs[i], x)),
+    )
+
+
+@pytest.mark.parametrize("kind", ["random", "commuting"])
+def test_engine_quorum_matches_stepper_rounds(kind):
+    """The quorum rule: the engine stops the same systems, after the
+    same iterations and for the same reasons, as per-system steppers
+    advanced round by round with one shared controller."""
+    b, ab, ahb, per_system = _quorum_problem(kind)
+    s, _, m = b.shape
+    rule = ResidualRule(1e-10)
+    eng = run_batched_bicg(ab, ahb, b, b, rule=rule, maxiter=400,
+                           quorum=QuorumController(s * m, 0.5))
+    steppers = {
+        (i, c): BiCGStepper(*per_system(i), b[i, :, c], b[i, :, c])
+        for i in range(s) for c in range(m)
+    }
+    fired = _stepper_rounds(steppers, rule, QuorumController(s * m, 0.5),
+                            maxiter=400)
+    for (i, c), st in steppers.items():
+        assert eng.iterations[i, c] == st.iterations
+        assert eng.reason(i, c) == st.reason
+        if st.reason is StopReason.QUORUM:
+            assert st.iterations == fired
+    if kind == "commuting":
+        assert fired == 8
+        assert [eng.reason(i, 2) for i in range(s)] == [StopReason.QUORUM] * s
 
 
 def test_engine_zero_rhs_column_is_born_converged():

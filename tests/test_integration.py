@@ -46,7 +46,7 @@ def test_four_methods_agree(al_fermi):
 def test_ss_bicg_agrees_with_direct_on_dft(al_fermi):
     al, est = al_fermi
     bicg_cfg = SSConfig(n_int=24, n_mm=8, n_rh=4, seed=11,
-                        linear_solver="bicg", bicg_tol=1e-10)
+                        linear_solver="bicg-batched", bicg_tol=1e-10)
     direct_cfg = SSConfig(n_int=24, n_mm=8, n_rh=4, seed=11,
                           linear_solver="direct")
     b = SSHankelSolver(al["blocks"], bicg_cfg).solve(est.fermi)
@@ -87,7 +87,7 @@ def test_memory_hierarchy_obm_vs_ss(al_fermi):
     obm = OBMSolver(al["blocks"], al["grid"])
     ss = SSHankelSolver(
         al["blocks"], SSConfig(n_int=24, n_mm=8, n_rh=8, seed=1,
-                               linear_solver="bicg")
+                               linear_solver="bicg-batched")
     )
     res = ss.solve(est.fermi)
     assert obm.memory_estimate() > 3 * res.memory.total

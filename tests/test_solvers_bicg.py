@@ -5,7 +5,7 @@ import pytest
 
 from repro.models.random_blocks import random_bulk_triple
 from repro.qep.pencil import QuadraticPencil
-from repro.solvers.bicg import BiCGStepper, bicg_block, bicg_dual
+from repro.solvers.bicg import BiCGStepper, bicg_dual
 from repro.solvers.stopping import QuorumController, ResidualRule, StopReason
 from repro.utils.rng import complex_gaussian, default_rng
 
@@ -140,17 +140,3 @@ def test_matrix_argument_accepted(system):
     _, z, a, b = system
     res = bicg_dual(a, a.conj().T, b, rule=ResidualRule(1e-10, maxiter=2000))
     assert res.converged
-
-
-def test_block_driver(system):
-    pencil, z, a, b = system
-    rng = default_rng(23)
-    B = complex_gaussian(rng, (24, 3))
-    Y, Yd, results = bicg_block(
-        lambda x: pencil.apply(z, x),
-        lambda x: pencil.apply_adjoint(z, x),
-        B, B, rule=ResidualRule(1e-11, maxiter=2000),
-    )
-    assert all(r.converged for r in results)
-    assert np.linalg.norm(a @ Y - B) / np.linalg.norm(B) < 1e-9
-    assert np.linalg.norm(a.conj().T @ Yd - B) / np.linalg.norm(B) < 1e-9

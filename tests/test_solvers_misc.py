@@ -155,11 +155,12 @@ def test_jacobi_floors_small_entries():
 # -- strategy resolution -------------------------------------------------------
 
 def test_resolve_strategy():
-    from repro.solvers.registry import available_strategies, resolve_strategy
+    from repro.ss.solver import STEP1_METHODS, resolve_strategy
 
     assert resolve_strategy("auto", 100, 6000) == "direct"
     assert resolve_strategy("auto", 6001, 6000) == "bicg-batched"
-    assert resolve_strategy("bicg", 10**9) == "bicg"
-    with pytest.raises(KeyError, match="unknown Step-1 strategy"):
+    assert resolve_strategy("bicg", 10**9) == "bicg-batched"
+    assert resolve_strategy("direct", 10**9) == "direct"
+    with pytest.raises(ConfigurationError, match="unknown Step-1 strategy"):
         resolve_strategy("nonsense", 100)
-    assert {"direct", "bicg", "bicg-batched"} <= set(available_strategies())
+    assert STEP1_METHODS == ("direct", "bicg-batched")

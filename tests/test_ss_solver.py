@@ -181,7 +181,7 @@ def test_bicg_matches_direct():
     ).solve(e)
     bicg = SSHankelSolver(
         lad.blocks(),
-        SSConfig(**{**base.__dict__, "linear_solver": "bicg",
+        SSConfig(**{**base.__dict__, "linear_solver": "bicg-batched",
                     "bicg_tol": 1e-12}),
     ).solve(e)
     assert bicg.count == direct.count
@@ -191,8 +191,9 @@ def test_bicg_matches_direct():
 def test_dual_trick_halves_iterations():
     """Figure-4-adjacent claim: the dual reuse halves Step-1 work."""
     lad = TransverseLadder(width=4)
-    common = dict(n_int=12, n_mm=4, n_rh=4, seed=3, linear_solver="bicg",
-                  bicg_tol=1e-11, quorum_fraction=None)
+    common = dict(n_int=12, n_mm=4, n_rh=4, seed=3,
+                  linear_solver="bicg-batched", bicg_tol=1e-11,
+                  quorum_fraction=None)
     with_dual = SSHankelSolver(
         lad.blocks(), SSConfig(use_dual_trick=True, **common)
     ).solve(-0.5)
@@ -205,8 +206,8 @@ def test_dual_trick_halves_iterations():
 
 def test_quorum_stops_stragglers():
     blocks = random_bulk_triple(30, coupling_scale=0.6, seed=10, sparse=True)
-    common = dict(n_int=8, n_mm=4, n_rh=4, seed=3, linear_solver="bicg",
-                  bicg_tol=1e-12)
+    common = dict(n_int=8, n_mm=4, n_rh=4, seed=3,
+                  linear_solver="bicg-batched", bicg_tol=1e-12)
     with_q = SSHankelSolver(
         blocks, SSConfig(quorum_fraction=0.5, **common)
     ).solve(0.05)
@@ -221,8 +222,8 @@ def test_quorum_stops_stragglers():
 
 def test_bicg_histories_recorded():
     lad = TransverseLadder(width=4)
-    cfg = SSConfig(n_int=8, n_mm=4, n_rh=2, seed=3, linear_solver="bicg",
-                   record_history=True)
+    cfg = SSConfig(n_int=8, n_mm=4, n_rh=2, seed=3,
+                   linear_solver="bicg-batched", record_history=True)
     res = SSHankelSolver(lad.blocks(), cfg).solve(-0.5)
     assert all(len(p.histories) == 2 for p in res.point_stats)
     assert all(
@@ -232,8 +233,9 @@ def test_bicg_histories_recorded():
 
 def test_threaded_executor_matches_serial():
     lad = TransverseLadder(width=4)
-    base = dict(n_int=12, n_mm=4, n_rh=4, seed=3, linear_solver="bicg",
-                bicg_tol=1e-12, quorum_fraction=None)
+    base = dict(n_int=12, n_mm=4, n_rh=4, seed=3,
+                linear_solver="bicg-batched", bicg_tol=1e-12,
+                quorum_fraction=None)
     serial = SSHankelSolver(lad.blocks(), SSConfig(**base)).solve(-0.5)
     threaded = SSHankelSolver(
         lad.blocks(), SSConfig(executor=4, **base)
@@ -242,28 +244,10 @@ def test_threaded_executor_matches_serial():
     assert match_error(threaded.eigenvalues, serial.eigenvalues) < 1e-8
 
 
-def test_lockstep_with_executor_is_deterministic():
-    """Lockstep ``"bicg"`` runs its rounds serially whatever the
-    executor, so the quorum stops every system at the same round."""
-    base = dict(n_int=8, n_mm=4, n_rh=2, seed=3, linear_solver="bicg",
-                quorum_fraction=0.5)
-    blocks, _ = commuting_bulk_triple(40, mu_range=(-20, 20), seed=1)
-
-    def per_point(res):
-        return [(p.iterations, p.reason) for p in res.point_stats]
-
-    serial = SSHankelSolver(blocks, SSConfig(**base)).solve(0.0)
-    assert any(p.reason == "quorum" for p in serial.point_stats)
-    for _ in range(3):
-        res = SSHankelSolver(blocks, SSConfig(executor=2, **base)).solve(0.0)
-        assert per_point(res) == per_point(serial)
-        assert np.array_equal(res.eigenvalues, serial.eigenvalues)
-
-
 def test_jacobi_option():
     lad = TransverseLadder(width=4)
-    cfg = SSConfig(n_int=12, n_mm=4, n_rh=4, seed=3, linear_solver="bicg",
-                   jacobi=True, bicg_tol=1e-12)
+    cfg = SSConfig(n_int=12, n_mm=4, n_rh=4, seed=3,
+                   linear_solver="bicg-batched", jacobi=True, bicg_tol=1e-12)
     res = SSHankelSolver(lad.blocks(), cfg).solve(-0.5)
     exact = ladder_reference(TransverseLadder(width=4), -0.5)
     assert match_error(res.eigenvalues, exact) < 1e-8
@@ -473,7 +457,8 @@ def test_config_resolved_collapses_auto():
     assert cfg.linear_solver == "auto"
     assert cfg.resolved(50).linear_solver == "direct"
     assert cfg.resolved(5000).linear_solver == "bicg-batched"
-    explicit = SSConfig(n_int=8, n_mm=2, n_rh=2, linear_solver="bicg")
+    explicit = SSConfig(n_int=8, n_mm=2, n_rh=2,
+                        linear_solver="bicg-batched")
     assert explicit.resolved(50) is explicit
 
 
