@@ -11,6 +11,8 @@ Paper observations to reproduce:
    Al at 7.8x the size, exponent ≈ 0.34).
 """
 
+import math
+
 import numpy as np
 
 from conftest import register_report
@@ -80,8 +82,9 @@ def _report():
         ))
     w_al, _, it_al, _ = RESULTS["al"]
     w_cnt, _, it_cnt, _ = RESULTS["cnt"]
-    growth = (np.median(it_cnt) / np.median(it_al)) / (
-        (w_cnt.info.n / w_al.info.n) ** 1.0
+    # Two-point exponent p in iterations ∝ N^p between the two systems.
+    exponent = math.log(np.median(it_cnt) / np.median(it_al)) / math.log(
+        w_cnt.info.n / w_al.info.n
     )
     table = ascii_table(
         ["system", "N", "min iters", "median", "max", "max/min spread",
@@ -91,8 +94,10 @@ def _report():
             "Figure 5 — BiCG residual histories per quadrature point\n"
             "(uniform convergence: tight iteration spread; the slowest "
             "system is already accurate when half have converged.\n"
-            f" iteration growth vs linear-in-N: {growth:.2f} — the paper "
-            "observes clearly sublinear growth, exponent ≈ 0.34)"
+            f" iteration exponent Al(100) N={w_al.info.n} → (4,0) CNT "
+            f"N={w_cnt.info.n}: {exponent:.2f} — two structures, not an "
+            "N-law; the paper observes clearly sublinear growth, "
+            "exponent ≈ 0.34)"
         ),
     )
     register_report("Figure 5 (BiCG convergence)", table)

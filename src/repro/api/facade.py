@@ -8,15 +8,22 @@ backends behind one routing function:
 ========================  =====================================
 job shape                 engine
 ========================  =====================================
+every job                 one column list ``[(k_par, weight,
+                          blocks), ...]``: one column per k∥
+                          point, or ``(None, 1.0, blocks)``
+                          for a plain scan
 one energy, serial        ``"solver"`` — one SS Hankel solve
 energy grid,              ``"scan"`` — :class:`CBSCalculator`
-serial/threads            (warm chain or mapped slices)
+serial/threads            (warm chain or mapped slices),
+                          column after column
 ``mode="processes"`` /    ``"orchestrator"`` —
 ``mode="orchestrated"``   :class:`ScanOrchestrator` (sharding,
                           tuning, refinement, slice cache)
+                          over (E, k∥) tiles
 job with a                ``"transport"`` — Σ(E) + Landauer T(E)
 ``TransportSpec``         (serial loop or sharded
                           :class:`TransportScanner`)
+job with a ``MapSpec``    ``"map"`` — :class:`repro.maps.MapSurrogate`
 ========================  =====================================
 
 Every route returns a versioned result with a provenance block (job
@@ -166,6 +173,7 @@ def _make_map_orchestrator(job: CBSJob, blocks) -> ScanOrchestrator:
 def _iter_map_engine(
     job: CBSJob,
     columns,
+    contexts,
     report,
     progress: Optional[ProgressFn],
     should_cancel: Optional[CancelFn],
@@ -180,13 +188,7 @@ def _iter_map_engine(
     """
     from repro.maps import MapSurrogate
 
-    ex = job.execution
     orc = _make_map_orchestrator(job, columns[0][2])
-    contexts = (
-        [job.cache_context(k_par=k) for k, _w, _b in columns]
-        if ex.cache_dir is not None
-        else None
-    )
     surrogate = MapSurrogate(
         orc,
         list(job.energies()),
@@ -201,26 +203,26 @@ def _iter_map_engine(
     )
 
 
-def _iter_cached_map(
+def _iter_mapped(
     calc: CBSCalculator,
     energies,
-    cache: SliceCache,
-    k_par: Optional[float] = None,
+    cache: Optional[SliceCache],
+    k_par: Optional[float],
 ) -> Iterator[EnergySlice]:
-    """Cache-aware independent-slice map, in ascending energy order.
+    """Independent-slice map through the calculator's executor, in the
+    given energy order, every slice stamped with ``k_par``.
 
-    Hits are served from the cache (``solve_seconds`` zeroed — this run
-    did no work for them); only the misses go through the executor's
-    ordered ``imap``, and each is persisted as it completes — stamped
-    with the caller's ``k_par`` first, so cached bytes carry the tag.
+    Cache hits are served from the cache (``solve_seconds`` zeroed —
+    this run did no work for them); only the misses go through the
+    executor's ordered ``imap``, and each is persisted as it completes —
+    stamped first, so cached bytes carry the tag.
     """
     hits = {}
     misses = []
     for energy in energies:
-        sl = cache.get_hit(energy)
+        sl = cache.get_hit(energy) if cache is not None else None
         if sl is not None:
-            if k_par is not None:
-                sl.k_par = k_par
+            sl.k_par = k_par
             hits[energy] = sl
         else:
             misses.append(energy)
@@ -231,9 +233,9 @@ def _iter_cached_map(
                 yield hits[energy]
             else:
                 sl = next(solved)
-                if k_par is not None:
-                    sl.k_par = k_par
-                cache.put(sl)
+                sl.k_par = k_par
+                if cache is not None:
+                    cache.put(sl)
                 yield sl
     finally:
         close = getattr(solved, "close", None)
@@ -241,63 +243,48 @@ def _iter_cached_map(
             close()
 
 
-def _iter_scan_engine(
-    job: CBSJob,
-    blocks,
-    progress: Optional[ProgressFn],
-    should_cancel: Optional[CancelFn],
-    *,
-    cache_context: Optional[str] = None,
-    k_par: Optional[float] = None,
+def _iter_scan_column(
+    job: CBSJob, blocks, energies, cache: Optional[SliceCache], k_par
 ) -> Iterator[EnergySlice]:
-    """The CBSCalculator route, streamed slice by slice.
+    """One energy column through :class:`CBSCalculator`.
 
     Serial jobs (and every warm-started job — warm chains are inherently
     sequential) run the shared warm-chain loop; thread jobs stream
     through the executor's ordered ``imap``, so later energies keep
-    solving while earlier slices are consumed.  Both honor the
-    persistent slice cache when the job names one (k∥-resolved columns
-    pass their per-momentum ``cache_context`` and ``k_par``, which is
-    stamped onto every slice before it is persisted or yielded).
+    solving while earlier slices are consumed.
     """
     ex = job.execution
-    energies = list(job.energies())
-    total = len(energies)
-    cache = (
-        SliceCache(
-            ex.cache_dir,
-            context=(
-                cache_context
-                if cache_context is not None
-                else job.cache_context()
-            ),
+    if ex.mode == "serial" or ex.warm_start:
+        return iter_warm_chain(
+            _calculator(job, blocks), energies, cache, k_par=k_par
         )
-        if ex.cache_dir is not None
-        else None
-    )
-    sequential = ex.mode == "serial" or ex.warm_start
-    if sequential:
-        calc = _calculator(job, blocks)
-        gen: Iterator[EnergySlice] = iter_warm_chain(
-            calc, energies, cache, k_par=k_par
-        )
-    else:
-        calc = _calculator(job, blocks, energy_executor=ex.executor_spec())
-        if cache is not None:
-            gen = _iter_cached_map(calc, energies, cache, k_par=k_par)
-        else:
-            gen = calc._executor.imap(calc.solve_energy, energies)
-    try:
-        for done, sl in enumerate(gen, start=1):
-            if progress is not None:
-                progress(done, total)
-            yield sl
-            if should_cancel is not None and should_cancel():
-                return
-    finally:
-        close = getattr(gen, "close", None)
-        if close is not None:
-            close()
+    calc = _calculator(job, blocks, energy_executor=ex.executor_spec())
+    return _iter_mapped(calc, energies, cache, k_par)
+
+
+def _chain_columns(
+    sources,
+    total: int,
+    progress: Optional[ProgressFn],
+    should_cancel: Optional[CancelFn],
+) -> Iterator[Union[EnergySlice, TransportSlice]]:
+    """One stream over per-column slice streams, column after column:
+    ``progress(done, total)`` before and one cancel poll after every
+    yielded slice (``total`` counts the whole (E, k∥) grid)."""
+    done = 0
+    for source in sources:
+        try:
+            for sl in source:
+                done += 1
+                if progress is not None:
+                    progress(done, total)
+                yield sl
+                if should_cancel is not None and should_cancel():
+                    return
+        finally:
+            close = getattr(source, "close", None)
+            if close is not None:
+                close()
 
 
 def _make_device(job: CBSJob, blocks) -> TwoProbeDevice:
@@ -312,79 +299,34 @@ def _make_device(job: CBSJob, blocks) -> TwoProbeDevice:
     )
 
 
-def _iter_transport_engine(
-    job: CBSJob,
-    blocks,
-    report: Optional[ScanReport],
-    progress: Optional[ProgressFn],
-    should_cancel: Optional[CancelFn],
-):
-    """The transport route, streamed slice by slice.
-
-    Serial jobs run a cache-aware in-process loop; every other mode
-    goes through :class:`repro.transport.TransportScanner` (threads or
-    process shards, merged in energy order) with the job-derived cache
-    context.  The callback contract is identical to the CBS routes.
-    """
-    ex = job.execution
-    ts = job.transport
-    cfg = ts.self_energy_config()
-    device = _make_device(job, blocks)
-    energies = list(job.energies())
-
-    if ex.mode == "serial":
-        cache = (
-            SliceCache(ex.cache_dir, context=job.cache_context())
-            if ex.cache_dir is not None
-            else None
-        )
-        calc = TransportCalculator(device, cfg, method=ts.method)
-
-        def _serial():
-            total = len(energies)
-            gen = calc.iter_scan_cached(energies, cache)
-            for done, (sl, _hit) in enumerate(gen, start=1):
-                if progress is not None:
-                    progress(done, total)
-                yield sl
-                if should_cancel is not None and should_cancel():
-                    return
-
-        return _serial()
-
-    scanner = TransportScanner(
-        device,
-        cfg,
-        method=ts.method,
-        executor=ex.executor_spec(),
-        n_shards=ex.n_shards,
-        cache_dir=ex.cache_dir,
-        cache_context=(
-            job.cache_context() if ex.cache_dir is not None else None
-        ),
-    )
-    return scanner.iter_scan(
-        energies,
-        report=report,
-        progress=progress,
-        should_cancel=should_cancel,
-    )
+def _iter_single(job: CBSJob, blocks, progress: Optional[ProgressFn]):
+    """The ``"solver"`` route: one energy, one SS Hankel solve."""
+    calc = _calculator(job, blocks)
+    (energy,) = job.energies()
+    sl = calc.solve_energy(energy)
+    if progress is not None:
+        progress(1, 1)
+    yield sl
 
 
 # ---------------------------------------------------------------------------
-# the k∥ product-grid engine
+# the column list and the one dispatch
 # ---------------------------------------------------------------------------
 
 
-def _kpar_columns(job: CBSJob):
-    """Resolve one system build per transverse momentum.
+def _columns(job: CBSJob):
+    """The job's k∥ columns ``[(k_par, weight, blocks), ...]``.
 
-    Returns ``[(k_par, weight, blocks), ...]`` in ascending momentum
-    order — the k∥ columns of the job's ``ScanSpec × KParSpec`` product
-    grid.  Each build injects the momentum as the builder parameter the
-    :class:`repro.api.KParSpec` names (``"k_par"`` by default), so only
-    systems whose builders accept it can be swept.
+    A plain job is the one column ``(None, 1.0, job.system.build())``.
+    A k∥-resolved job gets one system build per transverse momentum, in
+    ascending momentum order — the columns of its ``ScanSpec ×
+    KParSpec`` product grid.  Each build injects the momentum as the
+    builder parameter the :class:`repro.api.KParSpec` names
+    (``"k_par"`` by default), so only systems whose builders accept it
+    can be swept.
     """
+    if job.kpar is None:
+        return [(None, 1.0, job.system.build())]
     from repro.api.registry import resolve_system
 
     spec = job.kpar
@@ -397,84 +339,40 @@ def _kpar_columns(job: CBSJob):
     return columns
 
 
-def _iter_kpar_engine(
+def _iter_columns(
     job: CBSJob,
     columns,
-    engine: str,
-    report: Optional[ScanReport],
+    report,
     progress: Optional[ProgressFn],
     should_cancel: Optional[CancelFn],
 ):
-    """Route a k∥-resolved job through the engine serving its shape.
+    """The single engine dispatch behind :func:`compute` and
+    :func:`compute_iter` (``report`` collects orchestrator/scanner
+    telemetry when the caller wants it).
 
-    Serial/thread CBS jobs and serial transport jobs run their k∥
-    columns in ascending momentum order through the same per-column
-    loops as their 1D counterparts; the process-sharded engines tile
-    the whole (E, k∥) product grid across one executor
+    Serial/thread CBS jobs and serial transport jobs run their columns
+    one after another through per-column loops; the process-sharded
+    engines tile the whole (E, k∥) grid across one executor
     (:meth:`ScanOrchestrator.iter_kpar_scan` /
     :meth:`TransportScanner.iter_kpar_scan`).  The slice cache is keyed
-    per momentum via ``job.cache_context(k_par=k)``.  Every yielded
-    slice carries its ``k_par`` (transport slices also their BZ
-    weight), and ``progress(done, total)`` counts over the full
-    product grid.
+    per column via ``job.cache_context(k_par=k)`` — for the plain
+    column that is ``job.cache_context()``.  Every yielded slice
+    carries its column's ``k_par`` (transport slices also its weight),
+    and ``progress(done, total)`` counts over the full grid.
     """
-    if engine == "map":
-        return _iter_map_engine(job, columns, report, progress, should_cancel)
-
+    engine = job.engine()
+    if engine == "solver":
+        return _iter_single(job, columns[0][2], progress)
     ex = job.execution
+    contexts = [
+        job.cache_context(k_par=k) if ex.cache_dir is not None else None
+        for k, _w, _b in columns
+    ]
+    if engine == "map":
+        return _iter_map_engine(
+            job, columns, contexts, report, progress, should_cancel
+        )
     energies = list(job.energies())
-    total = len(energies) * len(columns)
-    contexts = (
-        [job.cache_context(k_par=k) for k, _w, _b in columns]
-        if ex.cache_dir is not None
-        else None
-    )
-
-    if engine == "transport":
-        ts = job.transport
-        cfg = ts.self_energy_config()
-        devices = [
-            (k, w, _make_device(job, blocks)) for k, w, blocks in columns
-        ]
-        if ex.mode == "serial":
-
-            def _serial_transport():
-                done = 0
-                for ci, (k, w, device) in enumerate(devices):
-                    cache = (
-                        SliceCache(ex.cache_dir, context=contexts[ci])
-                        if contexts is not None
-                        else None
-                    )
-                    calc = TransportCalculator(device, cfg, method=ts.method)
-                    for sl, _hit in calc.iter_scan_cached(
-                        energies, cache, k_par=k, k_weight=w
-                    ):
-                        done += 1
-                        if progress is not None:
-                            progress(done, total)
-                        yield sl
-                        if should_cancel is not None and should_cancel():
-                            return
-
-            return _serial_transport()
-        scanner = TransportScanner(
-            devices[0][2],
-            cfg,
-            method=ts.method,
-            executor=ex.executor_spec(),
-            n_shards=ex.n_shards,
-            cache_dir=ex.cache_dir,
-            cache_context=contexts[0] if contexts is not None else None,
-        )
-        return scanner.iter_kpar_scan(
-            energies,
-            devices,
-            cache_contexts=contexts,
-            report=report,
-            progress=progress,
-            should_cancel=should_cancel,
-        )
 
     if engine == "orchestrator":
         orc = _make_orchestrator(job, columns[0][2])
@@ -487,72 +385,51 @@ def _iter_kpar_engine(
             should_cancel=should_cancel,
         )
 
-    # "scan": serial/threads, one energy column per momentum.
-    def _serial_columns():
-        done = 0
-        for ci, (k, _w, blocks) in enumerate(columns):
-            gen = _iter_scan_engine(
-                job,
-                blocks,
-                None,
-                should_cancel,
-                cache_context=contexts[ci] if contexts is not None else None,
-                k_par=k,
-            )
-            for sl in gen:
-                # The cache paths stamped before persisting; this covers
-                # the uncached executor map, where nothing stamped yet.
-                sl.k_par = k
-                done += 1
-                if progress is not None:
-                    progress(done, total)
-                yield sl
-                if should_cancel is not None and should_cancel():
-                    return
-
-    return _serial_columns()
-
-
-# ---------------------------------------------------------------------------
-# the facade
-# ---------------------------------------------------------------------------
-
-
-def _route_iter(
-    job: CBSJob,
-    blocks,
-    engine: str,
-    report: Optional[ScanReport],
-    progress: Optional[ProgressFn],
-    should_cancel: Optional[CancelFn],
-) -> Iterator[EnergySlice]:
-    """The single engine dispatch behind :func:`compute` and
-    :func:`compute_iter` (``report`` collects orchestrator/scanner
-    telemetry when the caller wants it)."""
+    caches = (
+        SliceCache(ex.cache_dir, context=ctx) if ctx is not None else None
+        for ctx in contexts
+    )
     if engine == "transport":
-        return _iter_transport_engine(
-            job, blocks, report, progress, should_cancel
+        ts = job.transport
+        cfg = ts.self_energy_config()
+        devices = [
+            (k, w, _make_device(job, blocks)) for k, w, blocks in columns
+        ]
+        if ex.mode != "serial":
+            scanner = TransportScanner(
+                devices[0][2],
+                cfg,
+                method=ts.method,
+                executor=ex.executor_spec(),
+                n_shards=ex.n_shards,
+                cache_dir=ex.cache_dir,
+                cache_context=contexts[0],
+            )
+            return scanner.iter_kpar_scan(
+                energies,
+                devices,
+                cache_contexts=contexts,
+                report=report,
+                progress=progress,
+                should_cancel=should_cancel,
+            )
+        sources = (
+            (
+                sl
+                for sl, _hit in TransportCalculator(
+                    device, cfg, method=ts.method
+                ).iter_scan_cached(energies, cache, k_par=k, k_weight=w)
+            )
+            for (k, w, device), cache in zip(devices, caches)
         )
-    if engine == "orchestrator":
-        orc = _make_orchestrator(job, blocks)
-        return orc.iter_scan(
-            job.energies(),
-            report=report,
-            progress=progress,
-            should_cancel=should_cancel,
+    else:  # "scan"
+        sources = (
+            _iter_scan_column(job, blocks, energies, cache, k)
+            for (k, _w, blocks), cache in zip(columns, caches)
         )
-    if engine == "solver":
-
-        def _single() -> Iterator[EnergySlice]:
-            calc = _calculator(job, blocks)
-            (energy,) = job.energies()
-            sl = calc.solve_energy(energy)
-            if progress is not None:
-                progress(1, 1)
-            yield sl
-
-        return _single()
-    return _iter_scan_engine(job, blocks, progress, should_cancel)
+    return _chain_columns(
+        sources, len(energies) * len(columns), progress, should_cancel
+    )
 
 
 def compute(
@@ -617,22 +494,12 @@ def compute(
             else None
         )
 
-    if job.kpar is not None:
-        columns = _kpar_columns(job)
-        cell_length = columns[0][2].cell_length
-        slices = list(
-            _iter_kpar_engine(
-                job, columns, engine, report, progress, should_cancel
-            )
-        )
-        slices.sort(key=lambda s: (s.k_par, s.energy))
-    else:
-        blocks = job.system.build()
-        cell_length = blocks.cell_length
-        slices = list(
-            _route_iter(job, blocks, engine, report, progress, should_cancel)
-        )
-        slices.sort(key=lambda s: s.energy)
+    columns = _columns(job)
+    cell_length = columns[0][2].cell_length
+    slices = list(
+        _iter_columns(job, columns, report, progress, should_cancel)
+    )
+    slices.sort(key=lambda s: (s.k_par, s.energy))
     if engine == "transport":
         result: Union[CBSResult, TransportResult] = TransportResult(
             slices, cell_length
@@ -693,12 +560,4 @@ def compute_iter(
         stamped with its ``k_par``.
     """
     job = _as_job(job)
-    if job.kpar is not None:
-        columns = _kpar_columns(job)
-        return _iter_kpar_engine(
-            job, columns, job.engine(), None, progress, should_cancel
-        )
-    blocks = job.system.build()
-    return _route_iter(
-        job, blocks, job.engine(), None, progress, should_cancel
-    )
+    return _iter_columns(job, _columns(job), None, progress, should_cancel)

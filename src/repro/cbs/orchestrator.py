@@ -68,8 +68,8 @@ ProgressFn = Callable[[int, int], None]
 #: Cancellation callback ``should_cancel() -> bool``: polled *between*
 #: units of work, never mid-solve.  The poll points are: after every
 #: consumed base-grid shard, at the start of every refinement round
-#: *and* after every shard within a round, and before every k∥
-#: column's refinement — so a cancel lands within one shard's latency
+#: *and* after every shard within a round, and between k∥ columns'
+#: refinements — so a cancel lands within one shard's latency
 #: wherever the scan happens to be.  Returning ``True`` ends the
 #: stream early; everything already yielded stays valid (a partially
 #: consumed refinement round is dropped whole, so the stream never
@@ -77,11 +77,6 @@ ProgressFn = Callable[[int, int], None]
 #: returns the partial, energy-ordered, provenance-stamped result.
 #: Shared by the same entry points as :data:`ProgressFn`.
 CancelFn = Callable[[], bool]
-
-#: Sentinel distinguishing "use the orchestrator's own cache context"
-#: from an explicit ``None`` (cache disabled) in :meth:`_iter_refine`.
-_DEFAULT_CTX = object()
-
 
 # ----------------------------------------------------------------------
 # policies
@@ -679,11 +674,6 @@ class ScanOrchestrator:
     def n_shards(self) -> int:
         return int(self.orch.n_shards or getattr(self._executor, "workers", 1))
 
-    def _spec(self, energies: Sequence[float]) -> _ShardSpec:
-        return self._tile_spec(
-            self.blocks, energies, None, self._cache_context
-        )
-
     def _tile_spec(
         self,
         blocks: BlockTriple,
@@ -691,9 +681,7 @@ class ScanOrchestrator:
         k_par: Optional[float],
         cache_context: Optional[str],
     ) -> _ShardSpec:
-        """One (E, k∥) tile work unit (k∥-resolved scans pass per-column
-        blocks and cache contexts; plain scans use the orchestrator's
-        own)."""
+        """One (E, k∥) tile work unit of the column at ``k_par``."""
         return _ShardSpec(
             blocks=blocks,
             config=self.config,
@@ -727,11 +715,13 @@ class ScanOrchestrator:
     ) -> Iterator[EnergySlice]:
         """Stream the orchestrated workload slice by slice.
 
-        The sorted grid's shards are submitted up front; results are
-        yielded in ascending energy order as each next-in-order shard
-        completes (later shards keep computing while earlier slices are
-        consumed).  Refinement insertions follow after the base grid,
-        per bisection round, in ascending order within each round.
+        The one-column case of :meth:`iter_kpar_scan`: the orchestrator's
+        own blocks and cache context, tagged ``k_par=None``.  The sorted
+        grid's shards are submitted up front; results are yielded in
+        ascending energy order as each next-in-order shard completes
+        (later shards keep computing while earlier slices are consumed).
+        Refinement insertions follow after the base grid, per bisection
+        round, in ascending order within each round.
 
         ``progress(done, total)`` is called after every yielded slice
         (``total`` grows when refinement inserts energies);
@@ -740,45 +730,19 @@ class ScanOrchestrator:
         was already produced.  Telemetry accumulates into ``report``
         (one is created and discarded when not supplied).
         """
-        report = ScanReport() if report is None else report
-        t0 = time.perf_counter()
-        grid = sorted({float(e) for e in energies})
-        done = 0
-        total = len(grid)
-
-        try:
-            spans = chunk_spans(len(grid), self.n_shards)
-            specs = [self._spec(grid[lo:hi]) for lo, hi in spans]
-            report.n_shards = len(specs)
-
-            slices: List[EnergySlice] = []
-            shard_stream = self._imap_shards(specs)
-            for shard_slices, stats in shard_stream:
-                report.absorb(stats)
-                slices.extend(shard_slices)
-                for sl in shard_slices:
-                    done += 1
-                    if progress is not None:
-                        progress(done, total)
-                    yield sl
-                if should_cancel is not None and should_cancel():
-                    return
-            slices.sort(key=lambda s: s.energy)
-
-            for new_slices in self._iter_refine(slices, report, should_cancel):
-                total += len(new_slices)
-                for sl in new_slices:
-                    done += 1
-                    if progress is not None:
-                        progress(done, total)
-                    yield sl
-        finally:
-            report.wall_seconds = time.perf_counter() - t0
+        return self._iter_tiles(
+            energies,
+            [(None, self.blocks)],
+            [self._cache_context],
+            report,
+            progress,
+            should_cancel,
+        )
 
     def iter_kpar_scan(
         self,
         energies: Sequence[float],
-        columns: Sequence[Tuple[float, BlockTriple]],
+        columns: Sequence[Tuple[Optional[float], BlockTriple]],
         *,
         cache_contexts: Optional[Sequence[Optional[str]]] = None,
         report: Optional[ScanReport] = None,
@@ -802,10 +766,11 @@ class ScanOrchestrator:
         ----------
         energies : sequence of float
             The shared energy grid (one column per k∥ point).
-        columns : sequence of (float, BlockTriple)
+        columns : sequence of (float or None, BlockTriple)
             ``(k_par, blocks)`` per transverse momentum — the blocks
             built at that k∥ (e.g. through a ``k_par``-aware registry
-            builder).
+            builder).  ``k_par`` is stamped on the column's slices as
+            given; a plain scan is the single column ``(None, blocks)``.
         cache_contexts : sequence of str or None, optional
             Per-column slice-cache context keys (k∥ folded in —
             :meth:`repro.api.CBSJob.cache_context` does this); required
@@ -814,6 +779,23 @@ class ScanOrchestrator:
             As in :meth:`iter_scan` (``progress`` counts over the full
             product grid and grows with refinement).
         """
+        if cache_contexts is None:
+            cache_contexts = [None] * len(columns)
+        return self._iter_tiles(
+            energies, columns, cache_contexts, report, progress, should_cancel
+        )
+
+    def _iter_tiles(
+        self,
+        energies: Sequence[float],
+        columns: Sequence[Tuple[Optional[float], BlockTriple]],
+        cache_contexts: Sequence[Optional[str]],
+        report: Optional[ScanReport],
+        progress: Optional[ProgressFn],
+        should_cancel: Optional[CancelFn],
+    ) -> Iterator[EnergySlice]:
+        """The one scan loop behind :meth:`iter_scan` and
+        :meth:`iter_kpar_scan`: tile, stream, then refine per column."""
         report = ScanReport() if report is None else report
         t0 = time.perf_counter()
         grid = sorted({float(e) for e in energies})
@@ -822,9 +804,7 @@ class ScanOrchestrator:
         try:
             if not grid or not columns:
                 return
-            if cache_contexts is None:
-                cache_contexts = [None] * len(columns)
-            if self.orch.cache_dir is not None and any(
+            if self.orch.cache_dir and any(
                 ctx is None for ctx in cache_contexts
             ):
                 raise ValueError(
@@ -833,18 +813,15 @@ class ScanOrchestrator:
                 )
             n_tiles = max(1, math.ceil(self.n_shards / len(columns)))
             spans = chunk_spans(len(grid), n_tiles)
-            specs = []
-            for (k, blk), ctx in zip(columns, cache_contexts):
-                for lo, hi in spans:
-                    specs.append(
-                        self._tile_spec(blk, grid[lo:hi], float(k), ctx)
-                    )
+            specs = [
+                self._tile_spec(blk, grid[lo:hi], k, ctx)
+                for (k, blk), ctx in zip(columns, cache_contexts)
+                for lo, hi in spans
+            ]
             report.n_shards = len(specs)
 
             tiles_per_col = len(spans)
-            col_slices: List[List[EnergySlice]] = [
-                [] for _ in range(len(columns))
-            ]
+            col_slices: List[List[EnergySlice]] = [[] for _ in columns]
             for i, (shard_slices, stats) in enumerate(
                 self._imap_shards(specs)
             ):
@@ -858,8 +835,9 @@ class ScanOrchestrator:
                 if should_cancel is not None and should_cancel():
                     return
 
-            for ci, (k, blk) in enumerate(columns):
-                if should_cancel is not None and should_cancel():
+            for ci, ((k, blk), ctx) in enumerate(zip(columns, cache_contexts)):
+                # The last tile's poll already covers the first column.
+                if ci and should_cancel is not None and should_cancel():
                     return
                 column = sorted(col_slices[ci], key=lambda s: s.energy)
                 for new_slices in self._iter_refine(
@@ -867,8 +845,8 @@ class ScanOrchestrator:
                     report,
                     should_cancel,
                     blocks=blk,
-                    k_par=float(k),
-                    cache_context=cache_contexts[ci],
+                    k_par=k,
+                    cache_context=ctx,
                 ):
                     total += len(new_slices)
                     for sl in new_slices:
@@ -907,25 +885,21 @@ class ScanOrchestrator:
         self,
         slices: List[EnergySlice],
         report: ScanReport,
-        should_cancel: Optional[CancelFn] = None,
+        should_cancel: Optional[CancelFn],
         *,
-        blocks: Optional[BlockTriple] = None,
-        k_par: Optional[float] = None,
-        cache_context: "Optional[str] | object" = _DEFAULT_CTX,
+        blocks: BlockTriple,
+        k_par: Optional[float],
+        cache_context: Optional[str],
     ) -> Iterator[List[EnergySlice]]:
-        """Bisection rounds as a generator of per-round slice batches.
+        """Bisection rounds of one k∥ column as a generator of per-round
+        slice batches.
 
-        ``slices`` (the sorted scan so far) is extended and re-sorted in
-        place each round, so the caller's list always holds the complete
-        merged scan when the generator is exhausted.  k∥-resolved scans
-        pass the column's ``blocks``/``k_par``/``cache_context`` so the
-        bisection solves run against the right transverse momentum;
-        plain scans use the orchestrator's own.
+        ``slices`` (the column's sorted scan so far) is extended and
+        re-sorted in place each round, so the caller's list always holds
+        the complete merged column when the generator is exhausted.  The
+        bisection solves run against the column's ``blocks`` under its
+        ``cache_context`` and are tagged with its ``k_par``.
         """
-        if blocks is None:
-            blocks = self.blocks
-        if cache_context is _DEFAULT_CTX:
-            cache_context = self._cache_context
         pol = self.orch.refine
         if not pol.enabled or len(slices) < 2:
             return

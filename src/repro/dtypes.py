@@ -1,9 +1,12 @@
 """The single definition site for the solver dtype policy.
 
-The hot kernels in ``qep/pencil.py``, ``solvers/batched.py`` and
-``solvers/bicg.py`` take their dtypes from here instead of spelling
-``np.complex128``-style literals inline, so the precision policy is one
-edit, not a grep.
+The Step-1 modules — the batched BiCG engine in ``solvers/batched.py``
+(``run_batched_bicg``), its pencil products in ``qep/pencil.py``, the
+Jacobi preconditioner, the stopping rules, ``ss/solver.py``, and the
+per-system reference recurrence in ``solvers/bicg.py`` — take their
+dtypes from here instead of spelling ``np.complex128``-style literals
+inline, so the precision policy is one edit, not a grep
+(``tests/test_dtype_literals.py`` checks their sources).
 
 The constants are ``np.dtype`` instances, not scalar types: ``.type``
 gives the matching zero-dimensional scalar constructor.

@@ -3,10 +3,13 @@
 The Sakurai-Sugiura Step 1 spends essentially all of its time here
 (paper Table 1), so the solver layer carries the paper's two tricks:
 
-* :func:`repro.solvers.bicg.bicg_dual` solves ``P(z) y = v`` **and** the
-  dual system ``P(z)^† ỹ = v`` in one Krylov recurrence (two matvecs per
-  iteration, which plain BiCG needs anyway) — this halves the number of
-  linear solves for the ring contour (paper §3.2);
+* :func:`repro.solvers.batched.run_batched_bicg` — the Step-1 BiCG
+  path — advances every shifted system at once and solves ``P(z) y = v``
+  **and** the dual system ``P(z)^† ỹ = v`` in one Krylov recurrence
+  (two matvecs per iteration, which plain BiCG needs anyway), which
+  halves the number of linear solves for the ring contour (paper §3.2);
+  :func:`repro.solvers.bicg.bicg_dual` is the same recurrence for one
+  system, kept as the per-system reference;
 * :mod:`repro.solvers.stopping` implements the quorum stopping rule that
   caps load imbalance across quadrature points (paper §3.3).
 """

@@ -528,11 +528,6 @@ class TransportScanner:
     def n_shards(self) -> int:
         return int(self._n_shards or getattr(self._executor, "workers", 1))
 
-    def _spec(self, energies: Sequence[float]) -> _TransportShardSpec:
-        return self._tile_spec(
-            self.device, energies, None, 1.0, self._cache_context
-        )
-
     def _tile_spec(
         self,
         device: TwoProbeDevice,
@@ -541,8 +536,7 @@ class TransportScanner:
         k_weight: float,
         cache_context: Optional[str],
     ) -> _TransportShardSpec:
-        """One (E, k∥) tile work unit (k∥-resolved scans pass per-column
-        devices and cache contexts)."""
+        """One (E, k∥) tile work unit of the column at ``k_par``."""
         return _TransportShardSpec(
             lead=device.lead,
             n_cells=device.n_cells,
@@ -574,38 +568,28 @@ class TransportScanner:
     ) -> Iterator[TransportSlice]:
         """Stream the transmission scan slice by slice.
 
-        Identical callback contract to
+        The one-column case of :meth:`iter_kpar_scan` (the scanner's
+        own device, ``k_par=None``, weight 1).  Identical callback
+        contract to
         :meth:`repro.cbs.orchestrator.ScanOrchestrator.iter_scan`:
         slices arrive in ascending energy order, ``progress(done,
         total)`` fires after every yielded slice, and
         ``should_cancel()`` is polled between shards — cancellation
         ends the stream early with whatever was already produced.
         """
-        report = ScanReport() if report is None else report
-        t0 = time.perf_counter()
-        grid = sorted({float(e) for e in energies})
-        total = len(grid)
-        done = 0
-        try:
-            spans = chunk_spans(len(grid), self.n_shards)
-            specs = [self._spec(grid[lo:hi]) for lo, hi in spans]
-            report.n_shards = len(specs)
-            for shard_slices, stats in self._imap_shards(specs):
-                report.absorb(stats)
-                for sl in shard_slices:
-                    done += 1
-                    if progress is not None:
-                        progress(done, total)
-                    yield sl
-                if should_cancel is not None and should_cancel():
-                    return
-        finally:
-            report.wall_seconds = time.perf_counter() - t0
+        return self._iter_tiles(
+            energies,
+            [(None, 1.0, self.device)],
+            [self._cache_context],
+            report,
+            progress,
+            should_cancel,
+        )
 
     def iter_kpar_scan(
         self,
         energies: Sequence[float],
-        columns: Sequence[Tuple[float, float, TwoProbeDevice]],
+        columns: Sequence[Tuple[Optional[float], float, TwoProbeDevice]],
         *,
         cache_contexts: Optional[Sequence[Optional[str]]] = None,
         report: Optional[ScanReport] = None,
@@ -624,13 +608,32 @@ class TransportScanner:
         ----------
         energies : sequence of float
             The shared energy grid (one column per k∥ point).
-        columns : sequence of (float, float, TwoProbeDevice)
-            ``(k_par, k_weight, device)`` per transverse momentum.
+        columns : sequence of (float or None, float, TwoProbeDevice)
+            ``(k_par, k_weight, device)`` per transverse momentum,
+            stamped on the column's slices as given; a plain scan is
+            the single column ``(None, 1.0, device)``.
         cache_contexts : sequence of str or None, optional
             Per-column slice-cache context keys (k∥ must be folded into
             each — :meth:`repro.api.CBSJob.cache_context` does this);
             required when the scanner has a ``cache_dir``.
         """
+        if cache_contexts is None:
+            cache_contexts = [None] * len(columns)
+        return self._iter_tiles(
+            energies, columns, cache_contexts, report, progress, should_cancel
+        )
+
+    def _iter_tiles(
+        self,
+        energies: Sequence[float],
+        columns: Sequence[Tuple[Optional[float], float, TwoProbeDevice]],
+        cache_contexts: Sequence[Optional[str]],
+        report: Optional[ScanReport],
+        progress: Optional[ProgressFn],
+        should_cancel: Optional[CancelFn],
+    ) -> Iterator[TransportSlice]:
+        """The one scan loop behind :meth:`iter_scan` and
+        :meth:`iter_kpar_scan`."""
         report = ScanReport() if report is None else report
         t0 = time.perf_counter()
         grid = sorted({float(e) for e in energies})
@@ -639,11 +642,7 @@ class TransportScanner:
         try:
             if not grid or not columns:
                 return
-            if cache_contexts is None:
-                cache_contexts = [None] * len(columns)
-            if self.cache_dir is not None and any(
-                ctx is None for ctx in cache_contexts
-            ):
+            if self.cache_dir and any(ctx is None for ctx in cache_contexts):
                 raise ConfigurationError(
                     "iter_kpar_scan with cache_dir needs one cache "
                     "context per k∥ column"
@@ -651,7 +650,7 @@ class TransportScanner:
             n_tiles = max(1, math.ceil(self.n_shards / len(columns)))
             spans = chunk_spans(len(grid), n_tiles)
             specs = [
-                self._tile_spec(dev, grid[lo:hi], float(k), float(w), ctx)
+                self._tile_spec(dev, grid[lo:hi], k, w, ctx)
                 for (k, w, dev), ctx in zip(columns, cache_contexts)
                 for lo, hi in spans
             ]

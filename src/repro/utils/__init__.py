@@ -1,14 +1,8 @@
-"""Shared utilities: timers, memory accounting, RNG, validation."""
+"""Shared utilities: timers, memory accounting, RNG."""
 
 from repro.utils.timing import Stopwatch, Timer, PhaseTimes
 from repro.utils.memory import MemoryReport, nbytes_of, format_bytes
 from repro.utils.rng import default_rng
-from repro.utils.validation import (
-    check_positive,
-    check_in_range,
-    check_power_of_two,
-    check_square,
-)
 
 __all__ = [
     "Stopwatch",
@@ -18,8 +12,4 @@ __all__ = [
     "nbytes_of",
     "format_bytes",
     "default_rng",
-    "check_positive",
-    "check_in_range",
-    "check_power_of_two",
-    "check_square",
 ]

@@ -1,6 +1,6 @@
-"""The dtype literals of the Step-1 hot path have one home.
+"""The dtype literals of the Step-1 path have one home.
 
-The solver modules must take their dtypes from :mod:`repro.dtypes`
+The Step-1 modules must take their dtypes from :mod:`repro.dtypes`
 instead of scattering ``np.complex128``-style literals, so the
 precision policy is one edit, not a grep.  Checked by AST inspection of
 each module's source.
@@ -16,10 +16,20 @@ import pytest
 import repro.qep.pencil as pencil_mod
 import repro.solvers.batched as batched_mod
 import repro.solvers.bicg as bicg_mod
+import repro.solvers.preconditioners as preconditioners_mod
+import repro.solvers.stopping as stopping_mod
+import repro.ss.solver as ss_solver_mod
 
 #: Modules whose sources must not contain raw numpy dtype literals
 #: (the single definition site is repro/dtypes.py).
-DTYPE_CLEAN_MODULES = [batched_mod, bicg_mod, pencil_mod]
+DTYPE_CLEAN_MODULES = [
+    batched_mod,
+    bicg_mod,
+    pencil_mod,
+    preconditioners_mod,
+    stopping_mod,
+    ss_solver_mod,
+]
 
 BANNED_DTYPE_ATTRS = {
     "complex128", "complex64", "float64", "float32", "int64", "int8",

@@ -4,9 +4,10 @@ One parametrized test replaces the scattered per-mode parity checks
 (serial-vs-warm-calculator, process-shard-vs-serial, threaded-vs-
 blocking) with a single contract: **serial ≡ threads ≡ processes ≡
 orchestrated** for the same declarative job, slice for slice, to
-≤ 1e-12 (bit-for-bit wherever the engines share code paths).  The job
-carries a k∥ axis so the matrix exercises the 2D tile sharding, not
-just the 1D energy split.
+≤ 1e-12 (bit-for-bit wherever the engines share code paths).  Each mode
+runs the job twice: with a k∥ axis, so the matrix exercises the 2D tile
+sharding, and without one — a plain scan, which every engine runs as
+the one-column case of the same tile path.
 
 Shard/merge edge cases ride along: more shards than items, single-item
 grids, empty grids, and refinement rounds that insert nothing — the
@@ -40,6 +41,7 @@ _BASE = dict(
     ring={"n_int": 16},
     kpar=KParSpec(values=(0.0, 1.1)),
 )
+_BASE_1D = {k: v for k, v in _BASE.items() if k != "kpar"}
 
 MODES = [
     ExecutionSpec(mode="serial"),
@@ -60,10 +62,18 @@ def _set_dev(a, b):
                float(dist.min(axis=0).max()))
 
 
+SHAPES = {"kpar": _BASE, "1d": _BASE_1D}
+
+
 @pytest.fixture(scope="module")
 def serial_reference():
-    result = compute(CBSJob(**_BASE))
-    return {(s.k_par, s.energy): s for s in result.slices}
+    return {
+        shape: {
+            (s.k_par, s.energy): s
+            for s in compute(CBSJob(**base)).slices
+        }
+        for shape, base in SHAPES.items()
+    }
 
 
 @pytest.mark.parametrize(
@@ -71,17 +81,23 @@ def serial_reference():
     ids=lambda e: e.mode + ("+warm" if e.warm_start else ""),
 )
 def test_mode_matrix_equivalence(execution, serial_reference):
-    result = compute(CBSJob(**_BASE, execution=execution))
-    seen = {(s.k_par, s.energy): s for s in result.slices}
-    # every reference grid point is present (refinement may add more)
-    assert set(serial_reference) <= set(seen)
-    for key, ref in serial_reference.items():
-        got = seen[key]
-        assert got.count == ref.count, (key, got.count, ref.count)
-        if ref.count == 0:
-            continue
-        dev = _set_dev(got.lambdas(), ref.lambdas())
-        assert dev <= 1e-12, f"{execution.mode} at {key}: dev {dev:.2e}"
+    for shape, base in SHAPES.items():
+        result = compute(CBSJob(**base, execution=execution))
+        seen = {(s.k_par, s.energy): s for s in result.slices}
+        reference = serial_reference[shape]
+        # every reference grid point is present (refinement may add more)
+        assert set(reference) <= set(seen), shape
+        if shape == "1d":
+            assert all(k is None for k, _e in seen)
+        for key, ref in reference.items():
+            got = seen[key]
+            assert got.count == ref.count, (shape, key, got.count, ref.count)
+            if ref.count == 0:
+                continue
+            dev = _set_dev(got.lambdas(), ref.lambdas())
+            assert dev <= 1e-12, (
+                f"{execution.mode} {shape} at {key}: dev {dev:.2e}"
+            )
 
 
 def test_mode_matrix_transport(serial_reference):
@@ -89,20 +105,22 @@ def test_mode_matrix_transport(serial_reference):
         system={"name": "square-slab", "params": {"width": 1}},
         scan={"window": [-0.5, 0.5, 3]},
         transport={"eta": 1e-6, "n_cells": 2},
-        kpar=KParSpec(grid=2),
     )
-    serial = compute(CBSJob(**base))
-    for mode in ("threads", "processes", "orchestrated"):
-        other = compute(
-            CBSJob(
-                **base,
-                execution=ExecutionSpec(mode=mode, workers=2),
+    for kpar in (KParSpec(grid=2), None):
+        serial = compute(CBSJob(**base, kpar=kpar))
+        for mode in ("threads", "processes", "orchestrated"):
+            other = compute(
+                CBSJob(
+                    **base,
+                    kpar=kpar,
+                    execution=ExecutionSpec(mode=mode, workers=2),
+                )
             )
-        )
-        assert len(other.slices) == len(serial.slices)
-        for a, b in zip(serial.slices, other.slices):
-            assert (a.k_par, a.energy) == (b.k_par, b.energy)
-            assert abs(a.transmission - b.transmission) <= 1e-12
+            assert len(other.slices) == len(serial.slices)
+            for a, b in zip(serial.slices, other.slices):
+                assert (a.k_par, a.energy) == (b.k_par, b.energy)
+                assert (a.k_weight == 1.0) == (kpar is None)
+                assert abs(a.transmission - b.transmission) <= 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -214,7 +232,7 @@ def test_legacy_scan_orchestrator_still_matches_compute():
     """The deprecated direct-construction path stays wired to the same
     engine the api routes to (the one legacy pin the matrix keeps)."""
     job = CBSJob(
-        **{k: v for k, v in _BASE.items() if k != "kpar"},
+        **_BASE_1D,
         execution=ExecutionSpec(
             mode="orchestrated", workers=1, warm_start=True
         ),

@@ -1,20 +1,13 @@
-"""Utility modules: timing, memory accounting, RNG, validation, constants."""
+"""Utility modules: timing, memory accounting, RNG, constants."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro import constants
-from repro.errors import ConfigurationError
 from repro.utils.memory import MemoryReport, format_bytes, nbytes_of
 from repro.utils.rng import DEFAULT_SEED, complex_gaussian, default_rng
 from repro.utils.timing import PhaseTimes, Stopwatch, Timer
-from repro.utils.validation import (
-    check_in_range,
-    check_positive,
-    check_power_of_two,
-    check_square,
-)
 
 
 # -- constants ---------------------------------------------------------------
@@ -128,30 +121,3 @@ def test_complex_gaussian_stats():
     z = complex_gaussian(default_rng(0), 20000)
     assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.05  # unit variance
     assert abs(z.mean()) < 0.05
-
-
-# -- validation -------------------------------------------------------------------
-
-def test_check_positive():
-    check_positive("x", 1)
-    with pytest.raises(ConfigurationError):
-        check_positive("x", 0)
-
-
-def test_check_in_range():
-    check_in_range("x", 0.5, 0, 1)
-    check_in_range("x", 1, 0, 1, inclusive=True)
-    with pytest.raises(ConfigurationError):
-        check_in_range("x", 1, 0, 1)
-
-
-def test_check_power_of_two():
-    check_power_of_two("x", 8)
-    with pytest.raises(ConfigurationError):
-        check_power_of_two("x", 6)
-
-
-def test_check_square():
-    check_square("m", np.eye(3))
-    with pytest.raises(ConfigurationError):
-        check_square("m", np.zeros((2, 3)))
